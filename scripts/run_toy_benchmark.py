@@ -67,7 +67,6 @@ def main() -> None:
         batch_size=args.batch_size,
         seed=args.seed,
         patience=args.patience,
-        variant=args.variant,
     )
 
     start = time.perf_counter()

@@ -294,3 +294,27 @@ def build_seq2seq(
         b=Tensor(np.zeros(channels), requires_grad=True, name="proj.b"),
     )
     return Seq2Seq(encoder=encoder, decoder=decoder, projection=projection)
+
+
+def build_model(
+    variant: str,
+    base: FactorPair,
+    channels: int,
+    beta: int,
+    m_layers: int,
+    k_hops: int,
+    rng: np.random.Generator,
+) -> Seq2Seq:
+    """The forecaster of a graph variant, built around its base factors.
+
+    `no_adaptive` freezes the base factors and `no_coupling` gives every layer
+    its own copy of them; every other variant trains one coupled pair.
+    """
+    trainable = variant != "no_adaptive"
+    base = FactorPair(
+        e1=Tensor(base.e1.data, requires_grad=trainable),
+        e2=Tensor(base.e2.data, requires_grad=trainable),
+    )
+    return build_seq2seq(
+        channels, beta, m_layers, k_hops, base, rng, coupled=variant != "no_coupling"
+    )

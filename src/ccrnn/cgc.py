@@ -11,7 +11,7 @@ per-layer scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .tensor import (
     add,
     concat,
     matmul,
-    mul,
     reshape,
     softmax,
     transpose_last,
@@ -181,6 +180,16 @@ def cgc_forward(
     return outputs
 
 
+def _level_attention(zs: list[Tensor], agg: AggregationParams) -> tuple[list[Tensor], Tensor]:
+    """Flatten each layer output to (batch, N*beta) and score it with the
+    shared linear map; returns the flats and the softmax over layers (batch, M)."""
+    shape = zs[0].shape
+    batch = 1 if len(shape) == 2 else int(np.prod(shape[:-2]))
+    flats = [reshape(z, (batch, shape[-2] * shape[-1])) for z in zs]
+    scores = concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1)
+    return flats, softmax(scores, axis=-1)
+
+
 def aggregate_levels(zs: list[Tensor], agg: AggregationParams) -> Tensor:
     """Softmax-weighted sum of the layer outputs.
 
@@ -192,27 +201,16 @@ def aggregate_levels(zs: list[Tensor], agg: AggregationParams) -> Tensor:
     shape = zs[0].shape
     if any(z.shape != shape for z in zs):
         raise ShapeError(f"layer outputs disagree in shape: {[z.shape for z in zs]}")
-    unbatched = len(shape) == 2
-    n, beta = shape[-2], shape[-1]
-    batch = 1 if unbatched else int(np.prod(shape[:-2]))
-
-    flats = [reshape(z, (batch, n * beta)) for z in zs]
-    scores = concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1)
-    alpha = softmax(scores, axis=-1)  # (batch, M)
-
-    stacked = concat([reshape(f, (batch, 1, n * beta)) for f in flats], axis=1)
+    flats, alpha = _level_attention(zs, agg)
+    batch, width = flats[0].shape
+    stacked = concat([reshape(f, (batch, 1, width)) for f in flats], axis=1)
     h = matmul(reshape(alpha, (batch, 1, len(zs))), stacked)
-    return reshape(h, (n, beta) if unbatched else shape)
+    return reshape(h, shape)
 
 
 def attention_weights(zs: list[Tensor], agg: AggregationParams) -> np.ndarray:
     """The normalized per-layer attention scores (for inspection and tests)."""
-    shape = zs[0].shape
-    n, beta = shape[-2], shape[-1]
-    batch = 1 if len(shape) == 2 else int(np.prod(shape[:-2]))
-    flats = [reshape(z, (batch, n * beta)) for z in zs]
-    scores = concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1)
-    return softmax(scores, axis=-1).data
+    return _level_attention(zs, agg)[1].data
 
 
 def init_layers(

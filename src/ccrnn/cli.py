@@ -18,21 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccgru import Seq2Seq, build_seq2seq
+from .ccgru import build_model
 from .config import ConfigError, RunConfig, apply_overrides, load_config
-from .graphgen import (
-    FactorPair,
-    ablation_init,
-    default_epsilon,
-    demand_driven_factors,
-    factorize_adjacency,
-    gaussian_adjacency,
-    normalize_random_walk,
-    station_representations,
-)
+from .graphgen import VARIANTS, FactorPair, variant_graph
 from .ingest import (
     SchemaError,
     StationSet,
+    bins_per_week,
     build_demand_tensor,
     fit_scaler,
     parse_trip_records,
@@ -53,9 +45,7 @@ from .persist import (
 )
 from .tensor import Tensor
 from .training import (
-    TrainConfig,
     TrainingData,
-    VARIANTS,
     ablation_csv,
     build_variant,
     evaluate,
@@ -102,9 +92,15 @@ def _load_demand(out: Path):
     return values, meta, stations
 
 
-def _split_for(config: RunConfig, t_bins: int, bins_per_week: int):
+def _split_for(config: RunConfig, values: np.ndarray, meta: dict[str, str]):
+    """The config's holdout weeks, counted in the ingested data's bins."""
     return split_by_bins(
-        t_bins, bins_per_week, config.p, config.q, config.val_weeks, config.test_weeks
+        values.shape[0],
+        bins_per_week(int(meta["bin_width_seconds"])),
+        config.p,
+        config.q,
+        config.val_weeks,
+        config.test_weeks,
     )
 
 
@@ -161,8 +157,8 @@ def cmd_ingest(config: RunConfig, out: Path) -> int:
 
 
 def cmd_build_graph(config: RunConfig, out: Path) -> int:
-    values, _, stations = _load_demand(out)
-    split = _split_for(config, values.shape[0], _bins_per_week(out))
+    values, meta, stations = _load_demand(out)
+    split = _split_for(config, values, meta)
     train_demand = values[split.train.start : split.train.stop]
 
     flat = np.flatnonzero(train_demand.std(axis=0).sum(axis=1) == 0)
@@ -172,32 +168,22 @@ def cmd_build_graph(config: RunConfig, out: Path) -> int:
             f"(first few: {flat[:5].tolist()}); retained"
         )
 
-    variant = config.variant
-    epsilon_note = ""
-    if variant in ("full", "no_adaptive", "no_coupling"):
-        emb = station_representations(train_demand, config.xi)
-        epsilon = config.epsilon if config.epsilon is not None else default_epsilon(emb)
-        epsilon_note = "override" if config.epsilon is not None else "auto"
-        pair = factorize_adjacency(
-            normalize_random_walk(gaussian_adjacency(emb, epsilon)), config.rank
-        )
-    else:
-        epsilon = 0.0
-        pair = ablation_init(
-            variant.removesuffix("_init"),
-            rank=config.rank,
-            training_demand=train_demand,
-            lons=stations.lons,
-            lats=stations.lats,
-            rng=np.random.default_rng(config.seed),
-        )
-
+    pair, epsilon, epsilon_source = variant_graph(
+        config.variant,
+        train_demand,
+        stations.lons,
+        stations.lats,
+        xi=config.xi,
+        rank=config.rank,
+        epsilon=config.epsilon,
+        rng=np.random.default_rng(config.seed),
+    )
     ckpt = Checkpoint(
         meta={
             "kind": "graph",
-            "variant": variant,
-            "epsilon": repr(float(epsilon)),
-            "epsilon_source": epsilon_note or "n/a",
+            "variant": config.variant,
+            "epsilon": repr(epsilon),
+            "epsilon_source": epsilon_source,
             "xi": str(config.xi),
             "rank": str(config.rank),
             "train_bins": str(len(split.train)),
@@ -205,20 +191,15 @@ def cmd_build_graph(config: RunConfig, out: Path) -> int:
         tensors={"e1": pair.e1.data, "e2": pair.e2.data},
     )
     save_checkpoint(out / GRAPH_CKPT, ckpt)
-    if epsilon_note:
-        print(f"epsilon={epsilon!r} ({epsilon_note})")
-    print(f"graph factors {pair.e1.data.shape} written ({variant})")
+    if epsilon_source != "n/a":
+        print(f"epsilon={epsilon!r} ({epsilon_source})")
+    print(f"graph factors {pair.e1.data.shape} written ({config.variant})")
     return 0
-
-
-def _bins_per_week(out: Path) -> int:
-    meta = read_sidecar(out / DEMAND_META)
-    return int(round(7 * 24 * 3600 / int(meta["bin_width_seconds"])))
 
 
 def _standardized(config: RunConfig, out: Path):
     values, meta, stations = _load_demand(out)
-    split = _split_for(config, values.shape[0], _bins_per_week(out))
+    split = _split_for(config, values, meta)
     scaler = fit_scaler(values, split.train)
     return values, meta, stations, split, scaler, scaler.apply(values)
 
@@ -226,30 +207,24 @@ def _standardized(config: RunConfig, out: Path):
 def cmd_train(config: RunConfig, out: Path) -> int:
     values, meta, stations, split, scaler, std_series = _standardized(config, out)
     graph = load_checkpoint(out / GRAPH_CKPT)
-    base = FactorPair(
-        e1=Tensor(graph.tensors["e1"], requires_grad=config.variant != "no_adaptive"),
-        e2=Tensor(graph.tensors["e2"], requires_grad=config.variant != "no_adaptive"),
-    )
-    model = build_seq2seq(
+    e1, e2 = graph.tensors["e1"], graph.tensors["e2"]
+    if graph.meta.get("variant") != config.variant or e1.shape != (stations.n, config.rank):
+        raise ConfigError(
+            f"{GRAPH_CKPT} holds a {graph.meta.get('variant')} graph of shape {e1.shape}, "
+            f"but the config trains {config.variant} on {stations.n} stations at rank "
+            f"{config.rank}; rerun build-graph"
+        )
+    model = build_model(
+        config.variant,
+        FactorPair(e1=Tensor(e1), e2=Tensor(e2)),
         channels=std_series.shape[2],
         beta=config.beta,
         m_layers=config.m_layers,
         k_hops=config.k_hops,
-        base=base,
         rng=np.random.default_rng(config.seed),
-        coupled=config.variant != "no_coupling",
     )
     data = TrainingData.from_series(std_series, split)
-    tc = TrainConfig(
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        sampling_decay=config.sampling_decay,
-        patience=config.patience,
-        variant=config.variant,
-    )
-    result = train(model, data, tc, log=print)
+    result = train(model, data, config.train_config(), log=print)
 
     ckpt = Checkpoint(
         meta={
@@ -285,23 +260,23 @@ def _cfg_str(value) -> str:
     return str(value)
 
 
-def _model_from_checkpoint(ckpt: Checkpoint) -> tuple[Seq2Seq, dict]:
+def _restore_run(out: Path):
+    """The trained model, its checkpoint and scaler, and the demand series.
+
+    The model's shape comes from the checkpoint alone; its parameters must
+    match the rebuilt model name for name and shape.
+    """
+    ckpt = load_checkpoint(out / MODEL_CKPT)
     cfg = ckpt.config
-    variant = cfg["variant"]
-    n = int(ckpt.meta["stations"])
-    rank = int(cfg["rank"])
-    base = FactorPair(
-        e1=Tensor(np.zeros((n, rank)), requires_grad=variant != "no_adaptive"),
-        e2=Tensor(np.zeros((n, rank)), requires_grad=variant != "no_adaptive"),
-    )
-    model = build_seq2seq(
-        channels=2,
+    zeros = np.zeros((int(ckpt.meta["stations"]), int(cfg["rank"])))
+    model = build_model(
+        cfg["variant"],
+        FactorPair(e1=Tensor(zeros), e2=Tensor(zeros)),
+        channels=len(ckpt.tensors.get("proj.bias", ())),
         beta=int(cfg["beta"]),
         m_layers=int(cfg["m_layers"]),
         k_hops=int(cfg["k_hops"]),
-        base=base,
         rng=np.random.default_rng(0),
-        coupled=variant != "no_coupling",
     )
     params = model.named_parameters()
     if set(params) != set(ckpt.tensors):
@@ -312,32 +287,20 @@ def _model_from_checkpoint(ckpt: Checkpoint) -> tuple[Seq2Seq, dict]:
         if arr.shape != p.shape:
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
         p.data = arr.copy()
-    return model, cfg
-
-
-def _restore_run(out: Path):
-    ckpt = load_checkpoint(out / MODEL_CKPT)
-    model, cfg = _model_from_checkpoint(ckpt)
     scaler = Scaler(mean=ckpt.scaler_mean, std=ckpt.scaler_std)
-    values = read_demand_blob(out / DEMAND_BLOB)
-    split = split_by_bins(
-        values.shape[0],
-        int(round(7 * 24 * 60 / int(cfg["bin_minutes"]))),
-        int(cfg["p"]),
-        int(cfg["q"]),
-        int(cfg["val_weeks"]),
-        int(cfg["test_weeks"]),
-    )
-    return ckpt, model, cfg, scaler, values, split
+    return ckpt, model, scaler, read_demand_blob(out / DEMAND_BLOB)
 
 
 def cmd_evaluate(config: RunConfig, out: Path) -> int:
-    ckpt, model, cfg, scaler, values, split = _restore_run(out)
-    std_series = scaler.apply(values)
-    tx, ty = make_windows(std_series, split.test, split.p, split.q)
-    report = evaluate(
-        model, tx, ty, scaler=scaler, bin_hours=int(cfg["bin_minutes"]) / 60.0
+    ckpt, model, scaler, values = _restore_run(out)
+    cfg, width_s = ckpt.config, int(ckpt.meta["bin_width_seconds"])
+    split = split_by_bins(
+        values.shape[0],
+        bins_per_week(width_s),
+        *(int(cfg[key]) for key in ("p", "q", "val_weeks", "test_weeks")),
     )
+    tx, ty = make_windows(scaler.apply(values), split.test, split.p, split.q)
+    report = evaluate(model, tx, ty, scaler=scaler, bin_hours=width_s / 3600.0)
     (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
     (out / "metrics.txt").write_text(report.summary(), encoding="utf-8")
     print(report.summary(), end="")
@@ -345,8 +308,8 @@ def cmd_evaluate(config: RunConfig, out: Path) -> int:
 
 
 def cmd_predict(config: RunConfig, out: Path) -> int:
-    ckpt, model, cfg, scaler, values, split = _restore_run(out)
-    p, q = split.p, split.q
+    ckpt, model, scaler, values = _restore_run(out)
+    p, q = int(ckpt.config["p"]), int(ckpt.config["q"])
     window = scaler.apply(values[-p:])[None]  # (1, P, N, d)
     pred = scaler.invert(predict_in_batches(model, window, q))[0]  # (Q, N, d)
 
@@ -357,9 +320,8 @@ def cmd_predict(config: RunConfig, out: Path) -> int:
     for step in range(q):
         stamp = (bin_start + (t_bins + step) * width).isoformat()
         for station in range(pred.shape[1]):
-            lines.append(
-                f"{stamp},{station},{pred[step, station, 0]!r},{pred[step, station, 1]!r}"
-            )
+            counts = ",".join(repr(v) for v in pred[step, station].tolist())
+            lines.append(f"{stamp},{station},{counts}")
     (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"forecast.csv: {q * pred.shape[1]} rows")
     return 0
@@ -371,7 +333,7 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
     tx, ty = make_windows(std_series, split.test, split.p, split.q)
     train_demand = values[split.train.start : split.train.stop]
 
-    def make_model(tag: str) -> Seq2Seq:
+    def make_model(tag: str):
         return build_variant(
             tag,
             training_demand=train_demand,
@@ -387,16 +349,8 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
             epsilon=config.epsilon,
         )
 
-    tc = TrainConfig(
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        sampling_decay=config.sampling_decay,
-        patience=config.patience,
-    )
     rows = run_ablation(
-        list(VARIANTS), make_model, data, tx, ty, tc, scaler=scaler, log=print
+        list(VARIANTS), make_model, data, tx, ty, config.train_config(), scaler=scaler, log=print
     )
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     for row in rows:

@@ -11,8 +11,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 from datetime import timedelta
 
+from .graphgen import VARIANTS
 from .ingest import ColumnSchema, StudyRect
-from .training import VARIANTS
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -122,6 +123,16 @@ class RunConfig:
         if self.rect is None:
             return None
         return StudyRect(*self.rect)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            seed=self.seed,
+            sampling_decay=self.sampling_decay,
+            patience=self.patience,
+        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

@@ -4,12 +4,12 @@ The demand history observed on the training range is compressed per station
 with a truncated SVD, pairwise station similarity becomes a Gaussian-kernel
 adjacency, the adjacency is row-normalized, and a second truncated SVD splits
 it into the source/target node embeddings that the model then trains.
-Alternative initializations used by the ablation harness live here too.
+`variant_graph` picks the starting graph of each model variant, including
+the alternative initializations used by the ablation harness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +17,10 @@ import numpy as np
 from .geo import pairwise_haversine_km
 from .tensor import Tensor
 
+VARIANTS = ("full", "no_adaptive", "no_coupling", "random_init", "distance_init", "pcc_init")
+
 # kernel entries below this are zeroed in the distance-based initialization
 DISTANCE_KERNEL_FLOOR = 0.1
-
-
-@dataclass
-class StationEmbedding:
-    """Per-station factor of the reshaped demand history (N x xi)."""
-
-    xs: np.ndarray
 
 
 @dataclass
@@ -69,7 +64,7 @@ def truncated_svd(mx: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np
     return u, s, vt.T
 
 
-def station_representations(training_demand: np.ndarray, xi: int) -> StationEmbedding:
+def station_representations(training_demand: np.ndarray, xi: int) -> np.ndarray:
     """Compact station features from the standardized training demand.
 
     The (T x N x d) history is flattened to a (T*d) x N matrix whose columns
@@ -87,31 +82,30 @@ def station_representations(training_demand: np.ndarray, xi: int) -> StationEmbe
         raise ValueError(f"history too short: {t}*{d} rows < {xi}")
     flat = demand.transpose(0, 2, 1).reshape(t * d, n)
     _, s, v = truncated_svd(flat, xi)
-    return StationEmbedding(xs=v * np.sqrt(s)[None, :])
+    return v * np.sqrt(s)[None, :]
 
 
-def default_epsilon(embedding: StationEmbedding | np.ndarray) -> float:
-    """Kernel width used when none is configured: std of distinct-pair distances."""
-    xs = embedding.xs if isinstance(embedding, StationEmbedding) else np.asarray(embedding, dtype=np.float64)
-    n = xs.shape[0]
-    if n < 2:
+def _squared_distances(xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.shape[0] < 2:
         raise ValueError("need at least two stations")
-    sq = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
-    dist = np.sqrt(np.maximum(sq, 0.0))
-    return float(np.std(dist[np.triu_indices(n, k=1)]))
+    return ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
 
 
-def gaussian_adjacency(embedding: StationEmbedding | np.ndarray, epsilon: float | None = None) -> np.ndarray:
+def default_epsilon(xs: np.ndarray) -> float:
+    """Kernel width used when none is configured: std of distinct-pair distances."""
+    dist = np.sqrt(np.maximum(_squared_distances(xs), 0.0))
+    return float(np.std(dist[np.triu_indices(dist.shape[0], k=1)]))
+
+
+def gaussian_adjacency(xs: np.ndarray, epsilon: float | None = None) -> np.ndarray:
     """Dense similarity matrix A[x, y] = exp(-||xs_x - xs_y||^2 / eps^2).
 
-    When `epsilon` is not given it defaults to the standard deviation of the
-    distinct-pair distance population.
+    `xs` holds one feature row per station. When `epsilon` is not given it
+    defaults to the standard deviation of the distinct-pair distance
+    population.
     """
-    xs = embedding.xs if isinstance(embedding, StationEmbedding) else np.asarray(embedding, dtype=np.float64)
-    n = xs.shape[0]
-    if n < 2:
-        raise ValueError("need at least two stations")
-    sq = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
+    sq = _squared_distances(xs)
     if epsilon is None:
         epsilon = default_epsilon(xs)
     if epsilon == 0.0:
@@ -147,15 +141,8 @@ def factorize_adjacency(normalized: np.ndarray, rank: int, trainable: bool = Tru
     )
 
 
-def demand_driven_factors(training_demand: np.ndarray, xi: int, rank: int,
-                          epsilon: float | None = None, trainable: bool = True) -> FactorPair:
-    """Full pipeline: station features -> kernel adjacency -> normalize -> factorize."""
-    emb = station_representations(training_demand, xi)
-    return factorize_adjacency(normalize_random_walk(gaussian_adjacency(emb, epsilon)), rank, trainable)
-
-
 # ---------------------------------------------------------------------------
-# alternative initializations for the ablation study
+# starting graphs of the model variants, with the ablation alternatives
 # ---------------------------------------------------------------------------
 
 def distance_kernel(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
@@ -168,11 +155,6 @@ def distance_kernel(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     kernel = np.exp(-(d / sigma) ** 2)
     kernel[kernel < DISTANCE_KERNEL_FLOOR] = 0.0
     return kernel
-
-
-def distance_init(lons: np.ndarray, lats: np.ndarray, rank: int) -> FactorPair:
-    """Factors from a thresholded Gaussian kernel over station distances."""
-    return factorize_adjacency(normalize_random_walk(distance_kernel(lons, lats)), rank)
 
 
 def pcc_kernel(training_demand: np.ndarray) -> np.ndarray:
@@ -188,11 +170,6 @@ def pcc_kernel(training_demand: np.ndarray) -> np.ndarray:
     return np.clip(np.corrcoef(series, rowvar=False), 0.0, None)
 
 
-def pcc_init(training_demand: np.ndarray, rank: int) -> FactorPair:
-    """Factors from pairwise correlation of total per-station demand series."""
-    return factorize_adjacency(normalize_random_walk(pcc_kernel(training_demand)), rank)
-
-
 def random_init(n: int, rank: int, rng: np.random.Generator) -> FactorPair:
     """Uniform(-0.1, 0.1) factors, no structural prior."""
     return FactorPair(
@@ -201,37 +178,38 @@ def random_init(n: int, rank: int, rng: np.random.Generator) -> FactorPair:
     )
 
 
-def ablation_init(variant: str, *, rank: int,
-                  training_demand: np.ndarray | None = None,
-                  lons: np.ndarray | None = None,
-                  lats: np.ndarray | None = None,
-                  rng: np.random.Generator | None = None) -> FactorPair:
-    """Dispatch the Table-style graph initializations by tag."""
-    if variant == "distance":
-        if lons is None or lats is None:
-            raise ValueError("distance init needs station coordinates")
-        return distance_init(lons, lats, rank)
-    if variant == "pcc":
-        if training_demand is None:
-            raise ValueError("pcc init needs the training demand")
-        return pcc_init(training_demand, rank)
-    if variant == "random":
-        if rng is None:
-            raise ValueError("random init needs a seeded generator")
-        n = len(lons) if lons is not None else np.asarray(training_demand).shape[1]
-        return random_init(n, rank, rng)
-    raise ValueError(f"unknown ablation init {variant!r}")
+def variant_graph(
+    variant: str,
+    training_demand: np.ndarray,
+    lons: np.ndarray,
+    lats: np.ndarray,
+    *,
+    xi: int,
+    rank: int,
+    epsilon: float | None,
+    rng: np.random.Generator,
+) -> tuple[FactorPair, float, str]:
+    """The starting graph of a variant, as factors plus the kernel width used.
 
-
-def dense_parameter_count(n: int) -> int:
-    return n * n
-
-
-def factored_parameter_count(n: int, rank: int) -> int:
-    return 2 * n * rank
-
-
-def frobenius_tail(singular_values: np.ndarray, rank: int) -> float:
-    """Error of the best rank-`rank` approximation given all singular values."""
-    tail = np.asarray(singular_values, dtype=np.float64)[rank:]
-    return math.sqrt(float((tail**2).sum()))
+    `training_demand` must cover the training range only. `full`,
+    `no_adaptive` and `no_coupling` share the demand-driven graph; the
+    `*_init` variants swap in a random, distance or correlation graph. Returns
+    the factors, the epsilon of the demand kernel (0.0 when there is none) and
+    where it came from: "override", "auto" or "n/a".
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    init = variant.removesuffix("_init")
+    used, source = 0.0, "n/a"
+    if init == "random":
+        return random_init(np.shape(training_demand)[1], rank, rng), used, source
+    if init == "distance":
+        adjacency = distance_kernel(lons, lats)
+    elif init == "pcc":
+        adjacency = pcc_kernel(training_demand)
+    else:
+        xs = station_representations(training_demand, xi)
+        source = "auto" if epsilon is None else "override"
+        used = default_epsilon(xs) if epsilon is None else float(epsilon)
+        adjacency = gaussian_adjacency(xs, used)
+    return factorize_adjacency(normalize_random_walk(adjacency), rank), used, source

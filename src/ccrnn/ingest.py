@@ -373,10 +373,6 @@ class DemandSeries:
     bin_start: datetime
     bin_width: timedelta
 
-    @property
-    def bins_per_week(self) -> int:
-        return int(round(timedelta(weeks=1) / self.bin_width))
-
 
 def _floor_to_bin(t: datetime, width: timedelta) -> datetime:
     seconds = (t - _EPOCH).total_seconds()
@@ -482,6 +478,11 @@ class DatasetSplit:
     q: int
 
 
+def bins_per_week(bin_width_seconds: int) -> int:
+    """Bins in one week at the given bin width, rounded to a whole count."""
+    return int(round(timedelta(weeks=1).total_seconds() / bin_width_seconds))
+
+
 def split_by_bins(
     t_bins: int, bins_per_week: int, p: int, q: int, val_weeks: int, test_weeks: int
 ) -> DatasetSplit:
@@ -506,12 +507,4 @@ def split_by_bins(
         test=range(n_train + n_val, t_bins),
         p=p,
         q=q,
-    )
-
-
-def split_dataset(
-    series: DemandSeries, p: int, q: int, val_weeks: int, test_weeks: int
-) -> DatasetSplit:
-    return split_by_bins(
-        series.values.shape[0], series.bins_per_week, p, q, val_weeks, test_weeks
     )

@@ -2,12 +2,16 @@
 
 Everything here is byte-deterministic: fixed little-endian binary layouts and
 text sections whose ordering follows insertion order, so save -> load -> save
-reproduces files exactly. Nothing architecture-dependent is written.
+reproduces files exactly. Nothing architecture-dependent is written. Every
+file is written through `persist`, so a write that fails part-way leaves the
+previous file in place; the readers raise only `FormatError` on bad bytes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import numpy as np
 
 DEMAND_MAGIC = b"DMD1"
 CHECKPOINT_VERSION = "ccrnn-checkpoint v1"
+TENSOR_PREFIX = "param/"
 
 
 class FormatError(ValueError):
@@ -23,6 +28,34 @@ class FormatError(ValueError):
 
 class VersionError(FormatError):
     """A container was written by an incompatible format version."""
+
+
+def persist(path, *chunks: bytes) -> None:
+    """Replace `path` with `chunks` atomically: write a sibling temp file, then rename.
+
+    A failure at any point leaves the previous file (or no file) at `path`.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def _malformed(path):
+    """Report any parse failure in `path` as a FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (ValueError, KeyError, IndexError, OverflowError, struct.error) as e:
+        raise FormatError(f"malformed {Path(path).name}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -34,22 +67,21 @@ def write_demand_blob(path, values: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
     if arr.ndim != 3:
         raise ValueError(f"demand tensor must be (T, N, d), got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(DEMAND_MAGIC)
-        fh.write(struct.pack("<QQQ", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes(order="C"))
+    header = DEMAND_MAGIC + struct.pack("<QQQ", *arr.shape)
+    persist(path, header, arr.astype("<f8").tobytes(order="C"))
 
 
 def read_demand_blob(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != DEMAND_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}, expected {DEMAND_MAGIC!r}")
-    t, n, d = struct.unpack_from("<QQQ", raw, 4)
-    expected = 28 + t * n * d * 8
-    if len(raw) != expected:
-        raise FormatError(f"blob is {len(raw)} bytes, header implies {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=28)
-    return data.reshape(t, n, d).astype(np.float64)
+    with _malformed(path):
+        t, n, d = struct.unpack_from("<QQQ", raw, 4)
+        expected = 28 + t * n * d * 8
+        if len(raw) != expected:
+            raise FormatError(f"blob is {len(raw)} bytes, header implies {expected}")
+        data = np.frombuffer(raw, dtype="<f8", offset=28)
+        return data.reshape(t, n, d).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +96,15 @@ def write_sidecar(path, entries: dict[str, str]) -> None:
         if "\n" in key or "\n" in value or ":" in key:
             raise ValueError(f"unrepresentable sidecar entry {key!r}")
         lines.append(f"{key}: {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    persist(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_sidecar(path) -> dict[str, str]:
+    raw = Path(path).read_bytes()
+    with _malformed(path):
+        text = raw.decode("utf-8")
     entries: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         if ": " not in line:
@@ -92,8 +127,6 @@ class Checkpoint:
     scaler_std: np.ndarray | None = None
     stations_csv: str | None = None
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _fmt_floats(values: np.ndarray) -> str:
@@ -106,14 +139,10 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write the container: text manifest, then concatenated tensor bytes."""
-    entries: list[tuple[str, np.ndarray]] = []
-    for prefix, tensors in (
-        ("param", ckpt.tensors),
-        ("adam_m", ckpt.adam_m),
-        ("adam_v", ckpt.adam_v),
-    ):
-        for name, arr in tensors.items():
-            entries.append((f"{prefix}/{name}", np.ascontiguousarray(arr, dtype="<f8")))
+    entries = [
+        (f"{TENSOR_PREFIX}{name}", np.ascontiguousarray(arr, dtype="<f8"))
+        for name, arr in ckpt.tensors.items()
+    ]
 
     lines = [CHECKPOINT_VERSION]
     for section, mapping in (("meta", ckpt.meta), ("config", ckpt.config)):
@@ -138,14 +167,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         offset += arr.nbytes
     lines.append(f"[payload {offset}]")
 
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for _, arr in entries:
-            fh.write(arr.tobytes(order="C"))
+    manifest = ("\n".join(lines) + "\n").encode("utf-8")
+    persist(path, manifest, *(arr.tobytes(order="C") for _, arr in entries))
 
 
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
+    with _malformed(path):
+        return _parse_checkpoint(raw)
+
+
+def _parse_checkpoint(raw: bytes) -> Checkpoint:
     newline = raw.index(b"\n")
     version = raw[:newline].decode("utf-8")
     if version != CHECKPOINT_VERSION:
@@ -193,11 +225,9 @@ def load_checkpoint(path) -> Checkpoint:
                 .reshape(shape)
                 .astype(np.float64)
             )
-            prefix, tensor_name = name.split("/", 1)
-            target = {"param": ckpt.tensors, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}[
-                prefix
-            ]
-            target[tensor_name] = arr
+            if not name.startswith(TENSOR_PREFIX):
+                raise FormatError(f"tensor {name!r} lacks the {TENSOR_PREFIX!r} prefix")
+            ckpt.tensors[name.removeprefix(TENSOR_PREFIX)] = arr
         else:
             raise FormatError(f"line {line!r} outside any known section")
     if station_lines:

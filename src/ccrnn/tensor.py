@@ -328,23 +328,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), vjp)
 
 
-_ELEMENTWISE_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "exp": exp}
-_ELEMENTWISE_BINARY = {"mul": mul, "add": add, "sub": sub}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch a named pointwise op (sigmoid|tanh|exp|mul|add|sub)."""
-    if op in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"{op} is unary")
-        return _ELEMENTWISE_UNARY[op](a)
-    if op in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"{op} is binary")
-        return _ELEMENTWISE_BINARY[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------

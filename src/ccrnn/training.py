@@ -9,17 +9,15 @@ count; validation and test decoding are always free-running.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ccgru import Seq2Seq, build_seq2seq, sampling_probability
+from .ccgru import Seq2Seq, build_model, sampling_probability
 from .cgc import count_parameters
-from .graphgen import ablation_init, demand_driven_factors
+from .graphgen import VARIANTS, variant_graph
 from .tensor import GradientMap, Tensor, add, backward, mul, no_grad, sqrt, sub, tmean
-
-VARIANTS = ("full", "no_adaptive", "no_coupling", "random_init", "distance_init", "pcc_init")
 
 LOSS_EPS = 1e-8
 
@@ -32,7 +30,6 @@ class TrainConfig:
     seed: int = 0
     sampling_decay: float = 2000.0
     patience: int = 10
-    variant: str = "full"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -41,8 +38,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,34 +410,22 @@ def build_variant(
     k_hops: int,
     beta: int,
     seed: int,
-    lons: np.ndarray | None = None,
-    lats: np.ndarray | None = None,
+    lons: np.ndarray,
+    lats: np.ndarray,
     epsilon: float | None = None,
 ) -> Seq2Seq:
     """Construct a model whose graph initialization matches the variant tag.
 
     `training_demand` must be the original-scale demand over the training
-    range only; graph construction never sees validation or test bins.
+    range only; graph construction never sees validation or test bins. One
+    generator seeded with `seed` draws the graph (for `random_init`) and then
+    the model weights.
     """
     rng = np.random.default_rng(seed)
-    if variant in ("full", "no_adaptive", "no_coupling"):
-        base = demand_driven_factors(
-            training_demand, xi, rank, epsilon, trainable=variant != "no_adaptive"
-        )
-        coupled = variant != "no_coupling"
-    elif variant in ("random_init", "distance_init", "pcc_init"):
-        base = ablation_init(
-            variant.removesuffix("_init"),
-            rank=rank,
-            training_demand=training_demand,
-            lons=lons,
-            lats=lats,
-            rng=rng,
-        )
-        coupled = True
-    else:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return build_seq2seq(channels, beta, m_layers, k_hops, base, rng, coupled=coupled)
+    base, _, _ = variant_graph(
+        variant, training_demand, lons, lats, xi=xi, rank=rank, epsilon=epsilon, rng=rng
+    )
+    return build_model(variant, base, channels, beta, m_layers, k_hops, rng)
 
 
 @dataclass
@@ -477,7 +460,7 @@ def run_ablation(
         if log is not None:
             log(f"=== variant {tag} ===")
         model = make_model(tag)
-        result = train(model, data, replace(config, variant=tag), log=log)
+        result = train(model, data, config, log=log)
         report = evaluate(model, test_x, test_y, scaler)
         rows.append(
             AblationRow(

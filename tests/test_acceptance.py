@@ -280,8 +280,7 @@ def _trained(variant: str):
         # must see exactly the same number of updates for the comparison to
         # mean anything. Run to convergence both sit at the noise floor of
         # this small dataset; mid-training is where the graph quality shows.
-        config = TrainConfig(learning_rate=2e-3, epochs=12, patience=12,
-                             seed=0, variant=variant)
+        config = TrainConfig(learning_rate=2e-3, epochs=12, patience=12, seed=0)
         start = time.perf_counter()
         train(model, toy["training"], config)
         elapsed = time.perf_counter() - start

@@ -1,11 +1,18 @@
 """On-disk formats, config plumbing, and the command-line pipeline end to end."""
 
+import errno
 import json
+import math
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import ccrnn.persist
 from ccrnn.cli import main
 from ccrnn.config import ConfigError, RunConfig, apply_overrides, load_config
 from ccrnn.persist import (
@@ -82,8 +89,6 @@ class TestCheckpoint:
                 "encoder.graph.e1": rng.standard_normal((5, 2)),
                 "proj.bias": rng.standard_normal(2),
             },
-            adam_m={"proj.bias": rng.standard_normal(2)},
-            adam_v={"proj.bias": rng.standard_normal(2) ** 2},
         )
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -97,7 +102,6 @@ class TestCheckpoint:
         assert back.stations_csv == ckpt.stations_csv
         for name, arr in ckpt.tensors.items():
             np.testing.assert_array_equal(back.tensors[name], arr)
-        np.testing.assert_array_equal(back.adam_m["proj.bias"], ckpt.adam_m["proj.bias"])
 
         # save(load(x)) must reproduce the file byte for byte
         path2 = tmp_path / "again.ckpt"
@@ -122,6 +126,101 @@ class TestCheckpoint:
         assert back.scaler_mean is None
         assert back.stations_csv is None
         assert back.config == {}
+
+
+class _FullDisk:
+    """A file whose first write lands half its bytes, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    writers = {
+        "demand.dmd1": lambda path, v: write_demand_blob(path, np.full((2, 3, 2), v)),
+        "demand.meta": lambda path, v: write_sidecar(path, {"bins": str(v)}),
+        "model.ckpt": lambda path, v: save_checkpoint(
+            path, Checkpoint(meta={"kind": "model"}, tensors={"e1": np.full((3, 2), v)})
+        ),
+    }
+    for name, write in writers.items():
+        write(tmp_path / name, 1.0)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
+
+    monkeypatch.setattr(
+        ccrnn.persist, "open", lambda path, mode="r": _FullDisk(open(path, mode)), raising=False
+    )
+    for name, write in writers.items():
+        with pytest.raises(OSError, match="No space"):
+            write(tmp_path / name, 2.0)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)  # no temp left
+    for name in writers:
+        assert (tmp_path / name).read_bytes() == before[name], name
+
+
+def _valid_artifacts():
+    """One well-formed file per reader, as (reader, bytes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_demand_blob(tmp / "blob", np.arange(12.0).reshape(2, 3, 2))
+        write_sidecar(tmp / "meta", {"bin_start": "2016-04-01T00:00:00", "stations": "3"})
+        save_checkpoint(tmp / "ckpt", TestCheckpoint().make())
+        return {
+            "blob": (read_demand_blob, (tmp / "blob").read_bytes()),
+            "sidecar": (read_sidecar, (tmp / "meta").read_bytes()),
+            "checkpoint": (load_checkpoint, (tmp / "ckpt").read_bytes()),
+        }
+
+
+VALID_ARTIFACTS = _valid_artifacts()
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
+    st.tuples(st.just("replace"), st.binary(max_size=300)),
+)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "truncate":
+        return raw[: args[0] % (len(raw) + 1)]
+    if kind == "flip":
+        at = args[0] % len(raw)
+        return raw[:at] + bytes([raw[at] ^ (1 << args[1])]) + raw[at + 1 :]
+    return args[0]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reader=st.sampled_from(sorted(VALID_ARTIFACTS)), mutation=MUTATIONS)
+@example(reader="blob", mutation=("truncate", 5))
+@example(reader="sidecar", mutation=("replace", b"kind: \xff\n"))
+@example(reader="checkpoint", mutation=("replace", b"ccrnn-checkpoint v1\n[meta]\nkind=x\n"))
+@example(
+    reader="checkpoint",
+    mutation=("replace", b"ccrnn-checkpoint v1\n[tensors]\nadam_m/w - 0 8\n[payload 8]\n" + bytes(8)),
+)
+def test_readers_raise_only_format_error(tmp_path, reader, mutation):
+    read, raw = VALID_ARTIFACTS[reader]
+    path = tmp_path / reader
+    path.write_bytes(_mutate(raw, mutation))
+    try:
+        read(path)
+    except FormatError:
+        pass
 
 
 class TestRunConfig:
@@ -284,6 +383,29 @@ class TestPipeline:
         assert lines[0] == "time_bin,station_id,pickup,dropoff"
         assert len(lines) == 1 + raw["q"] * 4
 
+    def test_predict_writes_finite_numbers(self, tmp_path):
+        config_path, raw = write_config(tmp_path)
+        run_pipeline(config_path, ("ingest", "build-graph", "train", "predict"))
+        rows = (tmp_path / "run" / "forecast.csv").read_text().strip().split("\n")[1:]
+        values = [float(v) for row in rows for v in row.split(",")[2:]]
+        assert len(values) == 2 * raw["q"] * 4
+        assert all(math.isfinite(v) for v in values)
+
+    def test_bin_width_comes_from_the_ingested_data(self, tmp_path):
+        """Ingest at 12 h bins, run every later stage with a 6 h config."""
+        ingest_path, _ = write_config(tmp_path, name="ingest.json")
+        later_path, raw = write_config(tmp_path, name="later.json", bin_minutes=360)
+        run_pipeline(ingest_path, ("ingest",))
+        run_pipeline(later_path, ("build-graph", "train", "evaluate", "predict"))
+        out = tmp_path / "run"
+        horizons = (out / "metrics.csv").read_text().strip().split("\n")[2:]
+        hours = [float(row.split(",")[1]) for row in horizons]
+        assert hours == [12.0 * h for h in range(1, raw["q"] + 1)]
+        rows = (out / "forecast.csv").read_text().strip().split("\n")[1:]
+        stamps = sorted({datetime.fromisoformat(row.split(",")[0]) for row in rows})
+        assert len(stamps) == raw["q"]
+        assert {b - a for a, b in zip(stamps, stamps[1:])} == {timedelta(hours=12)}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         import shutil
 
@@ -413,6 +535,31 @@ class TestCliErrors:
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "locked" in capsys.readouterr().err
         (out / ".lock").unlink()
+
+    def test_graph_of_another_variant_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        run_pipeline(config_path, ("ingest",))
+        assert main(["build-graph", "--config", str(config_path), "--variant", "random_init"]) == 0
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "random_init" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_graph_of_another_rank_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        rank3_path, _ = write_config(tmp_path, name="rank3.json", rank=3)
+        run_pipeline(config_path, ("ingest", "build-graph"))
+        assert main(["train", "--config", str(rank3_path)]) == 2
+        assert "rank 3" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_graph_of_another_station_count_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        fewer_path, _ = write_config(tmp_path, name="fewer.json", keep_stations=3)
+        run_pipeline(config_path, ("ingest", "build-graph"))
+        run_pipeline(fewer_path, ("ingest",))
+        assert main(["train", "--config", str(fewer_path)]) == 2
+        assert "3 stations" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_unknown_variant_flag_rejected_by_argparse(self, tmp_path):
         config_path, _ = write_config(tmp_path)

@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrnn.graphgen import (
-    ablation_init,
     distance_kernel,
-    factored_parameter_count,
-    dense_parameter_count,
     factorize_adjacency,
-    frobenius_tail,
     gaussian_adjacency,
     normalize_random_walk,
     pcc_kernel,
     station_representations,
     truncated_svd,
+    variant_graph,
 )
 
 
@@ -49,7 +46,6 @@ class TestTruncatedSvd:
         err = np.linalg.norm(m - (u * s) @ v.T)
         all_sv = singular_values_via_gram(m)
         assert abs(err - np.sqrt((all_sv[3:] ** 2).sum())) < 1e-8
-        assert abs(err - frobenius_tail(all_sv, 3)) < 1e-8
 
     def test_orthonormal_columns_and_descending_values(self):
         rng = np.random.default_rng(2)
@@ -78,7 +74,7 @@ class TestStationRepresentations:
         rng = np.random.default_rng(4)
         demand = rng.uniform(0, 3, size=(40, 5, 2))
         demand[:, 3, :] = demand[:, 1, :]
-        xs = station_representations(demand, 4).xs
+        xs = station_representations(demand, 4)
         np.testing.assert_allclose(xs[3], xs[1], atol=1e-8)
 
     def test_full_rank_squares_to_column_gram(self):
@@ -87,13 +83,14 @@ class TestStationRepresentations:
         rng = np.random.default_rng(5)
         demand = rng.standard_normal((10, 6, 2))
         flat = demand.transpose(0, 2, 1).reshape(20, 6)
-        kernel = station_representations(demand, 6).xs @ station_representations(demand, 6).xs.T
+        xs = station_representations(demand, 6)
+        kernel = xs @ xs.T
         np.testing.assert_allclose(kernel @ kernel, flat.T @ flat, atol=1e-8)
 
     def test_station_feature_shape(self):
         rng = np.random.default_rng(6)
         demand = rng.standard_normal((30, 250, 2))
-        assert station_representations(demand, 20).xs.shape == (250, 20)
+        assert station_representations(demand, 20).shape == (250, 20)
 
     def test_feature_dim_larger_than_station_count_rejected(self):
         with pytest.raises(ValueError):
@@ -178,8 +175,9 @@ class TestFactorizeAdjacency:
         np.testing.assert_allclose(pair.implied_adjacency(), a, atol=1e-9)
 
     def test_parameter_reduction_arithmetic(self):
-        assert factored_parameter_count(266, 50) == 26_600
-        assert dense_parameter_count(266) == 70_756
+        pair = factorize_adjacency(np.eye(266), 50)
+        assert pair.e1.size + pair.e2.size == 26_600  # 2NL factored entries
+        assert pair.implied_adjacency().size == 70_756  # N^2 dense entries
 
     def test_factors_marked_trainable(self):
         rng = np.random.default_rng(13)
@@ -201,7 +199,8 @@ class TestFactorizeAdjacency:
             e1 = rng.standard_normal((8, 3))
             e2 = rng.standard_normal((8, 3))
             assert np.linalg.norm(a - e1 @ e2.T) >= best - 1e-10
-        assert abs(best - frobenius_tail(singular_values_via_gram(a), 3)) < 1e-8
+        tail = singular_values_via_gram(a)[3:]
+        assert abs(best - np.sqrt((tail**2).sum())) < 1e-8
 
 
 class TestAblationInits:
@@ -225,16 +224,30 @@ class TestAblationInits:
         assert k[0, 1] == pytest.approx(1.0)
 
     def test_random_init_is_seed_deterministic(self):
-        a = ablation_init("random", rank=3, lons=np.zeros(6), rng=np.random.default_rng(99))
-        b = ablation_init("random", rank=3, lons=np.zeros(6), rng=np.random.default_rng(99))
+        demand, coords = np.zeros((10, 6, 2)), np.zeros(6)
+
+        def build():
+            pair, epsilon, source = variant_graph(
+                "random_init", demand, coords, coords, xi=2, rank=3, epsilon=None,
+                rng=np.random.default_rng(99),
+            )
+            assert (epsilon, source) == (0.0, "n/a")
+            return pair
+
+        a, b = build(), build()
         np.testing.assert_array_equal(a.e1.data, b.e1.data)
         np.testing.assert_array_equal(a.e2.data, b.e2.data)
         assert np.all(np.abs(a.e1.data) < 0.1)
 
     def test_dispatch_validates_inputs(self):
-        with pytest.raises(ValueError):
-            ablation_init("distance", rank=2)
-        with pytest.raises(ValueError):
-            ablation_init("pcc", rank=2)
-        with pytest.raises(ValueError):
-            ablation_init("bogus", rank=2)
+        rng = np.random.default_rng(17)
+        demand = rng.uniform(0, 4, size=(60, 5, 2))
+        lons, lats = np.full(5, -73.99), np.full(5, 40.73)
+        for variant in ("bogus", "bogus_init"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                variant_graph(variant, demand, lons, lats, xi=2, rank=2, epsilon=None, rng=rng)
+        with pytest.raises(ValueError, match="co-located"):
+            variant_graph("distance_init", demand, lons, lats, xi=2, rank=2, epsilon=None, rng=rng)
+        demand[:, 3, :] = 1.0
+        with pytest.raises(ValueError, match=r"\[3\]"):
+            variant_graph("pcc_init", demand, lons, lats, xi=2, rank=2, epsilon=None, rng=rng)

@@ -14,12 +14,12 @@ from ccrnn.ingest import (
     StationSet,
     StudyRect,
     TripRecord,
+    bins_per_week,
     build_demand_tensor,
     fit_scaler,
     parse_trip_records,
     select_top_stations,
     split_by_bins,
-    split_dataset,
     stations_from_records,
     virtual_stations,
 )
@@ -460,10 +460,6 @@ class TestSplits:
             split_by_bins(690, 336, p=12, q=12, val_weeks=1, test_weeks=1)
 
     def test_split_dataset_uses_bin_width(self):
-        values = np.zeros((4368, 3, 2))
-        from ccrnn.ingest import DemandSeries
-
-        series = DemandSeries(values, datetime(2016, 4, 1), timedelta(minutes=30))
-        assert series.bins_per_week == 336
-        split = split_dataset(series, 12, 12, 2, 2)
+        assert bins_per_week(30 * 60) == 336
+        split = split_by_bins(4368, bins_per_week(30 * 60), 12, 12, 2, 2)
         assert split.train == range(0, 3024)

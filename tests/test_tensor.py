@@ -12,7 +12,6 @@ from ccrnn.tensor import (
     add,
     backward,
     concat,
-    elementwise,
     exp,
     finite_difference_check,
     matmul,
@@ -96,21 +95,6 @@ class TestElementwise:
     def test_hadamard(self):
         out = mul(Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0]))
         np.testing.assert_array_equal(out.data, [4.0, 10.0, 18.0])
-
-    def test_dispatcher_routes_all_ops(self):
-        a, b = Tensor([1.0, -1.0]), Tensor([2.0, 2.0])
-        np.testing.assert_allclose(elementwise("add", a, b).data, [3.0, 1.0])
-        np.testing.assert_allclose(elementwise("sub", a, b).data, [-1.0, -3.0])
-        np.testing.assert_allclose(elementwise("mul", a, b).data, [2.0, -2.0])
-        np.testing.assert_allclose(elementwise("exp", a).data, np.exp([1.0, -1.0]))
-        np.testing.assert_allclose(elementwise("sigmoid", Tensor(0.0)).data, 0.5)
-        np.testing.assert_allclose(elementwise("tanh", Tensor(0.0)).data, 0.0)
-        with pytest.raises(ValueError):
-            elementwise("sigmoid", a, b)
-        with pytest.raises(ValueError):
-            elementwise("mul", a)
-        with pytest.raises(ValueError):
-            elementwise("gelu", a)
 
     def test_non_broadcastable_shapes_raise(self):
         with pytest.raises(ShapeError):
