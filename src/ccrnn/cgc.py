@@ -2,8 +2,9 @@
 
 Each convolution layer diffuses the node signal through an adjacency that is
 never materialized: the adjacency of layer m is the product E1^(m) E2^(m)T of
-two N x L embeddings, and diffusion applies the factors right-to-left so the
-cost stays O(K N L F) instead of O(K N^2 F). Layer 1 owns the only directly
+two N x L embeddings. One `tensor.diffuse` op per layer runs the K hops in
+rank space, so a layer costs about N L (F + beta) + K L^2 F per sample
+instead of the K N^2 F of dense powers. Layer 1 owns the only directly
 trained embeddings; deeper layers derive theirs through a shared affine
 coupling. The outputs of all layers are combined by softmax attention over
 per-layer scores.
@@ -21,10 +22,10 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    diffuse,
     matmul,
     reshape,
     softmax,
-    transpose_last,
 )
 
 
@@ -140,20 +141,16 @@ def couple_embeddings(e1: Tensor, e2: Tensor, coupling: CouplingParams) -> tuple
 def propagate_layer(z: Tensor, e1: Tensor, e2: Tensor, layer: CgcLayerParams) -> Tensor:
     """Diffuse `z` through powers of the implied adjacency and apply filters.
 
-    Computed as S_0 = Z, S_{i+1} = E1 (E2^T S_i), output sum_i S_i theta_i.
-    The N x N adjacency is never formed.
+    Returns sum_i S_i theta_i with S_0 = Z and S_i = (E1 E2^T)^i Z, as one
+    taped `diffuse` op. The hops run through the L x L matrix E2^T E1, so
+    neither the N x N adjacency nor any S_i is formed, and a layer costs
+    about N L (F + beta) + K L^2 F per sample.
     """
     if z.shape[-1] != layer.thetas[0].shape[0]:
         raise ShapeError(
             f"signal width {z.shape} does not match filter {layer.thetas[0].shape}"
         )
-    e2_t = transpose_last(e2)
-    s = z
-    out = matmul(s, layer.thetas[0])
-    for theta in layer.thetas[1:]:
-        s = matmul(e1, matmul(e2_t, s))
-        out = add(out, matmul(s, theta))
-    return out
+    return diffuse(z, e1, e2, layer.thetas)
 
 
 def cgc_forward(

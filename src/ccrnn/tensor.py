@@ -207,6 +207,74 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), vjp)
 
 
+def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas: Sequence[Tensor]) -> Tensor:
+    """K-hop diffusion through the low-rank adjacency E1 E2^T, filtered per hop.
+
+    Returns sum_i S_i theta_i for i = 0..K, where S_0 = Z and
+    S_i = (E1 E2^T)^i Z. `z` is (..., N, F), `e1` and `e2` are N x L, and
+    the K+1 thetas are F x beta. The hops run in rank space: T_1 = E2^T Z and
+    T_{i+1} = G T_i with G = E2^T E1 (L x L), so S_i = E1 T_i is never
+    formed. Z's leading axes fold into columns (node-major, N x B*F) so each
+    product is one GEMM; the hop filters act on the stacked T_i as one
+    (K*F) x beta GEMM and a single product with E1 returns to station space.
+    """
+    z, e1, e2 = _as_tensor(z), _as_tensor(e1), _as_tensor(e2)
+    thetas = [_as_tensor(t) for t in thetas]
+    if e1.ndim != 2 or e1.shape != e2.shape:
+        raise ShapeError(f"diffusion factors must share one N x L shape: {e1.shape}, {e2.shape}")
+    if z.ndim < 2 or z.shape[-2] != e1.shape[0]:
+        raise ShapeError(f"signal {z.shape} does not have the factors' {e1.shape[0]} rows")
+    if not thetas or any(t.ndim != 2 or t.shape != thetas[0].shape for t in thetas):
+        raise ShapeError(f"hop filters disagree in shape: {[t.shape for t in thetas]}")
+    if z.shape[-1] != thetas[0].shape[0]:
+        raise ShapeError(f"signal width {z.shape} does not match filter {thetas[0].shape}")
+    (n, rank), (f, beta), k = e1.shape, thetas[0].shape, len(thetas) - 1
+    b = int(np.prod(z.shape[:-2]))
+    zf = z.data.reshape(b * n, f)
+
+    def node_major(x, width):  # (B*N, width) -> (N, B*width)
+        return x.reshape(b, n, width).transpose(1, 0, 2).reshape(n, b * width)
+
+    def batch_major(x, width):  # (N, B*width) -> (B*N, width)
+        return x.reshape(n, b, width).transpose(1, 0, 2).reshape(b * n, width)
+
+    out = zf @ thetas[0].data
+    if k:
+        e1d, e2d = e1.data, e2.data
+        g = e2d.T @ e1d
+        ts = [e2d.T @ node_major(zf, f)]
+        for _ in range(k - 1):
+            ts.append(g @ ts[-1])
+        stacked = np.stack([t.reshape(rank, b, f) for t in ts], axis=2).reshape(rank * b, k * f)
+        hops = np.concatenate([t.data for t in thetas[1:]])
+        u = (stacked @ hops).reshape(rank, b * beta)
+        out += batch_major(e1d @ u, beta)
+
+    def vjp(grad):
+        gf = grad.reshape(b * n, beta)
+        gz = gf @ thetas[0].data.T
+        g_thetas = [zf.T @ gf]
+        if not k:
+            return (gz.reshape(z.shape), np.zeros(e1.shape), np.zeros(e2.shape), *g_thetas)
+        gn = node_major(gf, beta)
+        ge1 = gn @ u.T
+        gu = (e1d.T @ gn).reshape(rank * b, beta)
+        g_thetas += np.split(stacked.T @ gu, k)
+        gts = (gu @ hops.T).reshape(rank, b, k, f)
+        acc = gts[:, :, k - 1].reshape(rank, b * f)
+        gg = np.zeros((rank, rank))
+        for i in range(k - 2, -1, -1):
+            gg += acc @ ts[i].T
+            acc = gts[:, :, i].reshape(rank, b * f) + g.T @ acc
+        ge1 += e2d @ gg
+        # Z's node-major copy is rebuilt rather than kept, so the tape holds no copy of Z
+        ge2 = node_major(zf, f) @ acc.T + e1d @ gg.T
+        gz += batch_major(e2d @ acc, f)
+        return (gz.reshape(z.shape), ge1, ge2, *g_thetas)
+
+    return _make(out.reshape(z.shape[:-1] + (beta,)), (z, e1, e2, *thetas), vjp)
+
+
 def transpose_last(a: Tensor) -> Tensor:
     """Swap the two trailing axes (matrix transpose on stacked matrices)."""
     a = _as_tensor(a)

@@ -12,6 +12,7 @@ from ccrnn.tensor import (
     add,
     backward,
     concat,
+    diffuse,
     exp,
     finite_difference_check,
     matmul,
@@ -169,6 +170,79 @@ class TestBackward:
         with no_grad():
             out = mul(w, w)
         assert out._parents is None and not out.requires_grad
+
+
+def loop_diffusion(z, e1, e2, thetas):
+    """Oracle: the op-by-op K-hop loop, S_{i+1} = E1 (E2^T S_i), one filter per hop."""
+    e2_t = transpose_last(e2)
+    s = z
+    out = matmul(s, thetas[0])
+    for theta in thetas[1:]:
+        s = matmul(e1, matmul(e2_t, s))
+        out = add(out, matmul(s, theta))
+    return out
+
+
+def _diffusion_operands(rng, lead, n, rank, f, beta, k, scale=1.0):
+    z = Tensor(scale * rng.standard_normal(lead + (n, f)), requires_grad=True)
+    e1 = Tensor(scale * rng.standard_normal((n, rank)), requires_grad=True)
+    e2 = Tensor(scale * rng.standard_normal((n, rank)), requires_grad=True)
+    thetas = [Tensor(scale * rng.standard_normal((f, beta)), requires_grad=True)
+              for _ in range(k + 1)]
+    return z, e1, e2, thetas
+
+
+class TestDiffuse:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_op_by_op_loop(self, k, lead):
+        """Value and every gradient agree with the loop for ranks 1-4."""
+        rng = np.random.default_rng(100 + 10 * k + len(lead))
+        n, f, beta = 6, 3, 4
+        for rank in range(1, 5):
+            z, e1, e2, thetas = _diffusion_operands(rng, lead, n, rank, f, beta, k)
+            weight = Tensor(rng.standard_normal(lead + (n, beta)))
+            got, want = diffuse(z, e1, e2, thetas), loop_diffusion(z, e1, e2, thetas)
+            assert got.shape == want.shape
+            pairs = [(got.data, want.data)]
+            g_got = backward(tsum(mul(got, weight)))
+            g_want = backward(tsum(mul(want, weight)))
+            for t in (z, e1, e2, *thetas):
+                # at K=0 the loop never reaches the factors: their gradient is zero
+                pairs.append((g_got[t].data, g_want[t].data if t in g_want else np.zeros(t.shape)))
+            for a, b in pairs:
+                assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(7)
+        z, e1, e2, thetas = _diffusion_operands(rng, (2,), 5, 3, 3, 4, 3, scale=0.4)
+        weight = Tensor(rng.standard_normal((2, 5, 4)))
+        params = {"z": z, "e1": e1, "e2": e2}
+        params.update({f"theta{i}": t for i, t in enumerate(thetas)})
+        report = finite_difference_check(
+            lambda: tsum(mul(diffuse(z, e1, e2, thetas), weight)), params,
+            step=1e-5, tolerance=1e-4,
+        )
+        assert report.passed, str(report)
+
+    def test_factor_shapes_must_agree(self):
+        rng = np.random.default_rng(8)
+        z, e1, _, thetas = _diffusion_operands(rng, (), 5, 3, 2, 4, 2)
+        with pytest.raises(ShapeError):
+            diffuse(z, e1, Tensor(rng.standard_normal((5, 2))), thetas)
+
+    def test_factor_rows_must_match_stations(self):
+        rng = np.random.default_rng(9)
+        z, e1, e2, thetas = _diffusion_operands(rng, (2,), 5, 3, 2, 4, 2)
+        with pytest.raises(ShapeError):
+            diffuse(Tensor(rng.standard_normal((2, 6, 2))), e1, e2, thetas)
+
+    def test_hop_filters_must_agree(self):
+        rng = np.random.default_rng(10)
+        z, e1, e2, thetas = _diffusion_operands(rng, (), 5, 3, 2, 4, 2)
+        thetas[2] = Tensor(rng.standard_normal((2, 3)))
+        with pytest.raises(ShapeError):
+            diffuse(z, e1, e2, thetas)
 
 
 def _fd_scalar(fn, arrays, step=1e-6):

@@ -9,7 +9,7 @@ from ccrnn.ccgru import build_seq2seq
 from ccrnn.cgc import CoupledStructure, IndependentStructure
 from ccrnn.graphgen import FactorPair
 from ccrnn.synthetic import ring_demand
-from ccrnn.tensor import Tensor, backward, finite_difference_check
+from ccrnn.tensor import Tensor, _topo_order, backward, finite_difference_check
 from ccrnn.training import (
     AblationRow,
     AdamState,
@@ -188,6 +188,12 @@ def tiny_data(seed=3, n=6, t=120, p=4, q=4):
 
 
 class TestTrainLoop:
+    def test_zero_hop_model_trains(self):
+        """At K=0 the factors get a zero gradient, not none, so Adam can step."""
+        config = TrainConfig(epochs=1, batch_size=1000, seed=0, patience=10)
+        result = train(tiny_model(k=0), tiny_data(t=40), config)
+        assert result.iterations == 1
+
     def test_single_epoch_single_batch_accounting(self):
         data = tiny_data(t=40)
         config = TrainConfig(epochs=1, batch_size=1000, seed=0, patience=10)
@@ -254,6 +260,31 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,val_rmse,sampling_prob,improved"
         assert lines[1].startswith("1,")
         assert len(lines) == 1 + len(result.history)
+
+
+class TestTapeSize:
+    def test_training_forward_records_closed_form_node_count(self):
+        """One taped op per graph-convolution layer, whatever K is."""
+        m, k, p, q = 3, 3, 4, 4
+        data = tiny_data(p=p, q=q)
+        pred = tiny_model(m=m, k=k).forward(
+            data.train_x[:3], q, targets=data.train_y[:3], teacher_prob=0.5,
+            rng=np.random.default_rng(0),
+        )
+        # per gate: M diffusions, 4M+6 attention-aggregation ops, bias and activation
+        gate = m + (4 * m + 6) + 2
+        # per GRU step: concat, three gates, r*h and its concat, the u-blend
+        step = 1 + 3 * gate + 2 + 4
+        ops = (
+            (p + q) * step - 1  # the first encoder step's [x, h] holds no gradient
+            + 3 * q + 1  # readout per decoder step, concat of the frames
+            + 2 * 4 * (m - 1)  # coupled factors, derived once per cell
+            + 5  # RMSE loss
+        )
+        # per cell: two factors, M-1 couplings (w, b), three gates of M(K+1) filters
+        # and two scoring weights, three gate biases; then the readout's w and b
+        leaves = 2 * (2 + 2 * (m - 1) + 3 * (m * (k + 1) + 2) + 3) + 2
+        assert len(_topo_order(loss(pred, data.train_y[:3]))) == ops + leaves
 
 
 class _IdentityScaler:
