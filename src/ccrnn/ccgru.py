@@ -3,10 +3,19 @@
 Every gate of the GRU replaces its dense matmul with a coupled graph
 convolution stack. The three gate stacks of one cell share a single graph
 structure (base embedding pair plus couplings); each gate keeps its own
-filter and aggregation weights. Forecasting runs encoder/decoder style: the
-encoder folds the observation window into a hidden state, the decoder rolls
-the horizon forward from a zero GO frame, feeding back its own projections
-(or, during training, the ground truth under an inverse-sigmoid schedule).
+filter and aggregation weights. The reset and update gates convolve the same
+[x, h], so they run fused (after DCRNN's DCGRUCell): one diffusion per layer
+for both, with a leading gate axis, and one attention op.
+
+The recurrence is node-major: inputs are (N, ..., d) and the state is
+(N, ..., beta), stations first and any batch axes between, so no step
+changes a layout. `Seq2Seq.forward` keeps the batch-major (B, P, N, d) ->
+(B, Q, N, d) contract and converts once at each end.
+
+Forecasting runs encoder/decoder style: the encoder folds the observation
+window into a hidden state, the decoder rolls the horizon forward from a
+zero GO frame, feeding back its own projections (or, during training, the
+ground truth under an inverse-sigmoid schedule).
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from .tensor import (
     reshape,
     sigmoid,
     sub,
+    take,
     tanh,
+    transpose,
 )
 
 
@@ -86,42 +97,46 @@ class OutputProjection:
     b: Tensor  # d
 
 
-def _gate(z: Tensor, stack: CgcStack, factors) -> Tensor:
-    return aggregate_levels(cgc_forward(z, stack, factors), stack.aggregation)
+def _array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def ccgru_step(x: Tensor, h: Tensor, cell: CcgruCell, factors=None) -> Tensor:
     """One GRU update: r and u gate the state, the candidate blends in.
 
-    `factors` may carry the per-layer embeddings derived once per sequence;
-    all three gates reuse them.
+    `x` is node-major (N, ..., d) and `h` is (N, ..., beta). The reset and
+    update gates run as one fused stack with a leading gate axis. `factors`
+    may carry the per-layer embeddings derived once per sequence; all three
+    gates reuse them.
     """
     if x.shape[:-1] != h.shape[:-1]:
         raise ShapeError(f"input {x.shape} and state {h.shape} disagree on stations")
     if factors is None:
         factors = cell.layer_factors()
     xh = concat([x, h], axis=-1)
-    r = sigmoid(add(_gate(xh, cell.reset, factors), cell.b_r))
-    u = sigmoid(add(_gate(xh, cell.update, factors), cell.b_u))
+    gates = [cell.reset, cell.update]
+    ru = aggregate_levels(cgc_forward(xh, gates, factors), [g.aggregation for g in gates])
+    r = sigmoid(add(take(ru, 0), cell.b_r))
+    u = sigmoid(add(take(ru, 1), cell.b_u))
     xc = concat([x, mul(r, h)], axis=-1)
-    c = tanh(add(_gate(xc, cell.candidate, factors), cell.b_c))
+    cand = cell.candidate
+    c = tanh(add(aggregate_levels(cgc_forward(xc, cand, factors), cand.aggregation), cell.b_c))
     return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
 
 
 def encode(window, cell: CcgruCell, factors=None) -> Tensor:
-    """Fold an observation window (.., P, N, d) into a hidden state (.., N, beta).
+    """Fold a node-major window (P, N, ..., d) into a hidden state (N, ..., beta).
 
     The initial state is zero; the window itself carries no gradient.
     """
-    arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
+    arr = _array(window)
     if arr.ndim < 3:
         raise ShapeError(f"window must be at least (P, N, d), got {arr.shape}")
     if factors is None:
         factors = cell.layer_factors()
-    steps, n = arr.shape[-3], arr.shape[-2]
-    h = Tensor(np.zeros(arr.shape[:-3] + (n, cell.hidden_size)))
-    for t in range(steps):
-        h = ccgru_step(Tensor(np.take(arr, t, axis=-3)), h, cell, factors)
+    h = Tensor(np.zeros(arr.shape[1:-1] + (cell.hidden_size,)))
+    for frame in arr:
+        h = ccgru_step(Tensor(frame), h, cell, factors)
     return h
 
 
@@ -137,10 +152,11 @@ def decode(
 ) -> Tensor:
     """Roll the decoder `horizon` steps from a zero GO frame.
 
-    At each step after the first, the input is the previous target frame with
-    probability `teacher_prob` (one draw per step), otherwise the previous
-    projection. Fed-back projections stay in the autodiff graph. Everything
-    here lives in standardized space.
+    `h` is node-major (N, ..., beta), `targets` (Q, N, ..., d), and the
+    forecast is (Q, N, ..., d). At each step after the first, the input is
+    the previous target frame with probability `teacher_prob` (one draw per
+    step), otherwise the previous projection. Fed-back projections stay in
+    the autodiff graph. Everything here lives in standardized space.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -151,22 +167,20 @@ def decode(
     if factors is None:
         factors = cell.layer_factors()
     d = projection.w.shape[1]
-    tgt = None
-    if targets is not None:
-        tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+    tgt = None if targets is None else _array(targets)
 
     y_prev = Tensor(np.zeros(h.shape[:-1] + (d,)))
     frames: list[Tensor] = []
     for q in range(horizon):
         h = ccgru_step(y_prev, h, cell, factors)
         y = add(matmul(h, projection.w), projection.b)
-        frames.append(reshape(y, y.shape[:-2] + (1,) + y.shape[-2:]))
+        frames.append(reshape(y, (1,) + y.shape))
         if q + 1 < horizon:
             if tgt is not None and teacher_prob > 0.0 and rng.random() < teacher_prob:
-                y_prev = Tensor(np.take(tgt, q, axis=-3))
+                y_prev = Tensor(tgt[q])
             else:
                 y_prev = y
-    return concat(frames, axis=-3)
+    return concat(frames, axis=0)
 
 
 def sampling_probability(iteration: int, decay: float) -> float:
@@ -200,10 +214,26 @@ class Seq2Seq:
         teacher_prob: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """Forecast (..., Q, N, d) from windows (..., P, N, d).
+
+        The window and the targets carry no gradient; they are laid out
+        node-major, (P, N, ..., d), once here, and the forecast is permuted
+        back by one taped op.
+        """
+        arr = _array(window)
+        if arr.ndim < 3:
+            raise ShapeError(f"window must be at least (P, N, d), got {arr.shape}")
+        batch_axes = arr.ndim - 3
+
+        def node_major(a):  # (..., T, N, d) -> (T, N, ..., d)
+            return np.ascontiguousarray(np.moveaxis(a, (-3, -2), (0, 1)))
+
+        if targets is not None:
+            targets = node_major(_array(targets))
         enc_factors = self.encoder.layer_factors()
         dec_factors = self.decoder.layer_factors()
-        h = encode(window, self.encoder, enc_factors)
-        return decode(
+        h = encode(node_major(arr), self.encoder, enc_factors)
+        out = decode(
             h,
             horizon,
             self.decoder,
@@ -213,6 +243,9 @@ class Seq2Seq:
             rng=rng,
             factors=dec_factors,
         )
+        if not batch_axes:
+            return out
+        return transpose(out, tuple(range(2, 2 + batch_axes)) + (0, 1, 2 + batch_axes))
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.encoder.named_parameters("encoder")

@@ -7,7 +7,13 @@ rank space, so a layer costs about N L (F + beta) + K L^2 F per sample
 instead of the K N^2 F of dense powers. Layer 1 owns the only directly
 trained embeddings; deeper layers derive theirs through a shared affine
 coupling. The outputs of all layers are combined by softmax attention over
-per-layer scores.
+per-layer scores, one taped `tensor.level_attention` op.
+
+Signals are node-major, (N, ..., F): the station axis first, the feature
+axis last and any batch axes between, so diffusion changes no layout.
+Several stacks over one structure (the GRU's reset and update gates) run as
+one: their outputs carry a leading gate axis, layer 1 diffuses the shared
+input once for all of them, and each deeper layer is one grouped call.
 """
 
 from __future__ import annotations
@@ -17,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgen import FactorPair
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    concat,
-    diffuse,
-    matmul,
-    reshape,
-    softmax,
-)
+from .tensor import ShapeError, Tensor, add, diffuse, level_attention, level_weights, matmul
 
 
 @dataclass
@@ -138,76 +135,86 @@ def couple_embeddings(e1: Tensor, e2: Tensor, coupling: CouplingParams) -> tuple
     )
 
 
-def propagate_layer(z: Tensor, e1: Tensor, e2: Tensor, layer: CgcLayerParams) -> Tensor:
+def propagate_layer(
+    z: Tensor,
+    e1: Tensor,
+    e2: Tensor,
+    layer: CgcLayerParams | list[CgcLayerParams],
+    grouped: bool = False,
+) -> Tensor:
     """Diffuse `z` through powers of the implied adjacency and apply filters.
 
     Returns sum_i S_i theta_i with S_0 = Z and S_i = (E1 E2^T)^i Z, as one
-    taped `diffuse` op. The hops run through the L x L matrix E2^T E1, so
-    neither the N x N adjacency nor any S_i is formed, and a layer costs
-    about N L (F + beta) + K L^2 F per sample.
+    taped `diffuse` op on the node-major signal. The hops run through the
+    L x L matrix E2^T E1, so neither the N x N adjacency nor any S_i is
+    formed, and a layer costs about N L (F + beta) + K L^2 F per sample.
+    A list of layers (one per gate) adds a leading gate axis to the output;
+    with `grouped`, `z` carries that axis too.
     """
-    if z.shape[-1] != layer.thetas[0].shape[0]:
+    fused = isinstance(layer, list)
+    first = layer[0] if fused else layer
+    if z.shape[-1] != first.thetas[0].shape[0]:
         raise ShapeError(
-            f"signal width {z.shape} does not match filter {layer.thetas[0].shape}"
+            f"signal width {z.shape} does not match filter {first.thetas[0].shape}"
         )
-    return diffuse(z, e1, e2, layer.thetas)
+    thetas = [lay.thetas for lay in layer] if fused else layer.thetas
+    return diffuse(z, e1, e2, thetas, grouped=grouped)
 
 
 def cgc_forward(
     x: Tensor,
-    stack: CgcStack,
+    stack: CgcStack | list[CgcStack],
     layer_factors: list[tuple[Tensor, Tensor]] | None = None,
 ) -> list[Tensor]:
     """Run all layers, collecting every layer's output for aggregation.
 
+    `x` is node-major, (N, ..., F). A list of stacks over one structure runs
+    them fused: every output gains a leading gate axis, layer 1 diffuses `x`
+    once for all of them, and deeper layers diffuse each gate's own signal.
     `layer_factors` lets a caller that evaluates several stacks over the same
     structure (the three GRU gates) derive the per-layer embeddings once.
     """
+    fused = isinstance(stack, list)
+    stacks = stack if fused else [stack]
     if layer_factors is None:
-        layer_factors = stack.structure.layer_factors()
-    if len(layer_factors) != stack.num_layers:
+        layer_factors = stacks[0].structure.layer_factors()
+    if any(len(layer_factors) != s.num_layers for s in stacks):
         raise ShapeError(
-            f"{len(layer_factors)} factor pairs for {stack.num_layers} layers"
+            f"{len(layer_factors)} factor pairs for {[s.num_layers for s in stacks]} layers"
         )
     outputs: list[Tensor] = []
     z = x
-    for (e1, e2), layer in zip(layer_factors, stack.layers):
-        z = propagate_layer(z, e1, e2, layer)
+    for m, (e1, e2) in enumerate(layer_factors):
+        layers = [s.layers[m] for s in stacks] if fused else stack.layers[m]
+        z = propagate_layer(z, e1, e2, layers, grouped=fused and m > 0)
         outputs.append(z)
     return outputs
 
 
-def _level_attention(zs: list[Tensor], agg: AggregationParams) -> tuple[list[Tensor], Tensor]:
-    """Flatten each layer output to (batch, N*beta) and score it with the
-    shared linear map; returns the flats and the softmax over layers (batch, M)."""
-    shape = zs[0].shape
-    batch = 1 if len(shape) == 2 else int(np.prod(shape[:-2]))
-    flats = [reshape(z, (batch, shape[-2] * shape[-1])) for z in zs]
-    scores = concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1)
-    return flats, softmax(scores, axis=-1)
+def aggregate_levels(
+    zs: list[Tensor], agg: AggregationParams | list[AggregationParams]
+) -> Tensor:
+    """Softmax-weighted sum of the layer outputs, one taped op.
 
-
-def aggregate_levels(zs: list[Tensor], agg: AggregationParams) -> Tensor:
-    """Softmax-weighted sum of the layer outputs.
-
-    Each output is flattened to a station*feature vector, scored by the shared
-    linear map, and the scores are normalized across layers.
+    Per sample, each node-major output is scored by the shared linear map
+    over its station*feature entries, and the scores are normalized across
+    layers. A list of aggregations scores gated outputs (G, N, ..., beta),
+    gate g by its own map.
     """
-    if not zs:
-        raise ShapeError("no layer outputs to aggregate")
-    shape = zs[0].shape
-    if any(z.shape != shape for z in zs):
-        raise ShapeError(f"layer outputs disagree in shape: {[z.shape for z in zs]}")
-    flats, alpha = _level_attention(zs, agg)
-    batch, width = flats[0].shape
-    stacked = concat([reshape(f, (batch, 1, width)) for f in flats], axis=1)
-    h = matmul(reshape(alpha, (batch, 1, len(zs))), stacked)
-    return reshape(h, shape)
+    if isinstance(agg, list):
+        return level_attention(zs, [a.w_alpha for a in agg], [a.b_alpha for a in agg])
+    return level_attention(zs, agg.w_alpha, agg.b_alpha)
 
 
 def attention_weights(zs: list[Tensor], agg: AggregationParams) -> np.ndarray:
-    """The normalized per-layer attention scores (for inspection and tests)."""
-    return _level_attention(zs, agg)[1].data
+    """The normalized per-layer attention scores (for inspection and tests).
+
+    Takes batch-major outputs (..., N, beta) and returns (batch, M).
+    """
+    n, beta = zs[0].shape[-2:]
+    node_major = [np.moveaxis(z.data, -2, 0).reshape(1, n, -1, beta) for z in zs]
+    w = agg.w_alpha.data.reshape(1, n, beta)
+    return level_weights(node_major, w, agg.b_alpha.data)[0].T
 
 
 def init_layers(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 
@@ -128,7 +129,7 @@ def parse_trip_records(
     Malformed rows are skipped and tallied; a header that lacks a mandatory
     column is a SchemaError.
     """
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_trip_records(fh, schema, rect)
     if isinstance(source, bytes):

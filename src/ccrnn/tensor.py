@@ -207,80 +207,183 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), vjp)
 
 
-def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas: Sequence[Tensor]) -> Tensor:
+def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas, grouped: bool = False) -> Tensor:
     """K-hop diffusion through the low-rank adjacency E1 E2^T, filtered per hop.
 
     Returns sum_i S_i theta_i for i = 0..K, where S_0 = Z and
-    S_i = (E1 E2^T)^i Z. `z` is (..., N, F), `e1` and `e2` are N x L, and
-    the K+1 thetas are F x beta. The hops run in rank space: T_1 = E2^T Z and
-    T_{i+1} = G T_i with G = E2^T E1 (L x L), so S_i = E1 T_i is never
-    formed. Z's leading axes fold into columns (node-major, N x B*F) so each
-    product is one GEMM; the hop filters act on the stacked T_i as one
-    (K*F) x beta GEMM and a single product with E1 returns to station space.
+    S_i = (E1 E2^T)^i Z. `z` is node-major, (N, ..., F): the station axis
+    first, the feature axis last and any batch axes between. `e1` and `e2`
+    are N x L, and the K+1 thetas are F x beta.
+
+    `thetas` may instead hold one list of K+1 filters per gate. The output
+    then gains a leading gate axis, (gates, N, ..., beta). Every gate reads
+    the same `z`, so the hops are computed once, unless `grouped`: then `z`
+    is (gates, N, ..., F) and gate g diffuses z[g].
+
+    The hops run in rank space: T_1 = E2^T Z and T_{i+1} = G T_i with
+    G = E2^T E1 (L x L), so S_i = E1 T_i is never formed. The node-major
+    layout folds the batch axes into columns for free (N x B*F), so each
+    product is one GEMM per gate; the hop filters act on free (L*B) x F
+    views of the T_i, and a single product with E1 returns to station space.
     """
     z, e1, e2 = _as_tensor(z), _as_tensor(e1), _as_tensor(e2)
-    thetas = [_as_tensor(t) for t in thetas]
+    gated = bool(thetas) and isinstance(thetas[0], (list, tuple))
+    per_gate = [[_as_tensor(t) for t in ts] for ts in (thetas if gated else [thetas])]
+    flat = [t for ts in per_gate for t in ts]
+    if not flat or any(len(ts) != len(per_gate[0]) for ts in per_gate) or any(
+        t.ndim != 2 or t.shape != flat[0].shape for t in flat
+    ):
+        shapes = [[t.shape for t in ts] for ts in per_gate]
+        raise ShapeError(f"hop filters disagree in shape: {shapes}")
     if e1.ndim != 2 or e1.shape != e2.shape:
         raise ShapeError(f"diffusion factors must share one N x L shape: {e1.shape}, {e2.shape}")
-    if z.ndim < 2 or z.shape[-2] != e1.shape[0]:
+    if grouped and (not gated or z.ndim < 3 or z.shape[0] != len(per_gate)):
+        raise ShapeError(f"grouped signal {z.shape} needs one filter list per gate on axis 0")
+    axis = 1 if grouped else 0
+    if z.ndim < axis + 2 or z.shape[axis] != e1.shape[0]:
         raise ShapeError(f"signal {z.shape} does not have the factors' {e1.shape[0]} rows")
-    if not thetas or any(t.ndim != 2 or t.shape != thetas[0].shape for t in thetas):
-        raise ShapeError(f"hop filters disagree in shape: {[t.shape for t in thetas]}")
-    if z.shape[-1] != thetas[0].shape[0]:
-        raise ShapeError(f"signal width {z.shape} does not match filter {thetas[0].shape}")
-    (n, rank), (f, beta), k = e1.shape, thetas[0].shape, len(thetas) - 1
-    b = int(np.prod(z.shape[:-2]))
-    zf = z.data.reshape(b * n, f)
+    if z.shape[-1] != flat[0].shape[0]:
+        raise ShapeError(f"signal width {z.shape} does not match filter {flat[0].shape}")
+    (n, rank), (f, beta), k = e1.shape, flat[0].shape, len(per_gate[0]) - 1
+    gates, zgates = len(per_gate), len(per_gate) if grouped else 1
+    b = z.size // (zgates * n * f)
+    zg = z.data.reshape(zgates, n, b * f)
+    th = [np.stack([ts[i].data for ts in per_gate]) for i in range(k + 1)]  # (gates, F, beta)
 
-    def node_major(x, width):  # (B*N, width) -> (N, B*width)
-        return x.reshape(b, n, width).transpose(1, 0, 2).reshape(n, b * width)
+    def rows(x):  # (., N, B*F) -> (., N*B, F), a free view
+        return x.reshape(x.shape[0], -1, f)
 
-    def batch_major(x, width):  # (N, B*width) -> (B*N, width)
-        return x.reshape(n, b, width).transpose(1, 0, 2).reshape(b * n, width)
+    def onto(x, count):  # sum the gate axis away where the operand is shared
+        return x if x.shape[0] == count else x.sum(axis=0, keepdims=True)
 
-    out = zf @ thetas[0].data
+    out = rows(zg) @ th[0]
     if k:
         e1d, e2d = e1.data, e2.data
         g = e2d.T @ e1d
-        ts = [e2d.T @ node_major(zf, f)]
+        ts = [e2d.T @ zg]
         for _ in range(k - 1):
             ts.append(g @ ts[-1])
-        stacked = np.stack([t.reshape(rank, b, f) for t in ts], axis=2).reshape(rank * b, k * f)
-        hops = np.concatenate([t.data for t in thetas[1:]])
-        u = (stacked @ hops).reshape(rank, b * beta)
-        out += batch_major(e1d @ u, beta)
+        u = rows(ts[0]) @ th[1]
+        for t, theta in zip(ts[1:], th[2:]):
+            u += rows(t) @ theta
+        out += (e1d @ u.reshape(gates, rank, b * beta)).reshape(out.shape)
 
     def vjp(grad):
-        gf = grad.reshape(b * n, beta)
-        gz = gf @ thetas[0].data.T
-        g_thetas = [zf.T @ gf]
-        if not k:
-            return (gz.reshape(z.shape), np.zeros(e1.shape), np.zeros(e2.shape), *g_thetas)
-        gn = node_major(gf, beta)
-        ge1 = gn @ u.T
-        gu = (e1d.T @ gn).reshape(rank * b, beta)
-        g_thetas += np.split(stacked.T @ gu, k)
-        gts = (gu @ hops.T).reshape(rank, b, k, f)
-        acc = gts[:, :, k - 1].reshape(rank, b * f)
-        gg = np.zeros((rank, rank))
-        for i in range(k - 2, -1, -1):
-            gg += acc @ ts[i].T
-            acc = gts[:, :, i].reshape(rank, b * f) + g.T @ acc
-        ge1 += e2d @ gg
-        # Z's node-major copy is rebuilt rather than kept, so the tape holds no copy of Z
-        ge2 = node_major(zf, f) @ acc.T + e1d @ gg.T
-        gz += batch_major(e2d @ acc, f)
-        return (gz.reshape(z.shape), ge1, ge2, *g_thetas)
+        gf = grad.reshape(gates, n * b, beta)
+        g_th = [_t(rows(zg)) @ gf]
+        gz = onto(gf @ _t(th[0]), zgates)
+        ge1, ge2 = np.zeros(e1.shape), np.zeros(e2.shape)
+        if k:
+            gn = gf.reshape(gates, n, b * beta)
+            ge1 += (gn @ _t(u.reshape(gates, rank, b * beta))).sum(axis=0)
+            gu = (e1d.T @ gn).reshape(gates, rank * b, beta)
+            g_th += [_t(rows(t)) @ gu for t in ts]
+            gts = [onto(gu @ _t(theta), zgates).reshape(zgates, rank, b * f) for theta in th[1:]]
+            acc = gts[k - 1]
+            gg = np.zeros((rank, rank))
+            for i in range(k - 2, -1, -1):
+                gg += (acc @ _t(ts[i])).sum(axis=0)
+                acc = gts[i] + g.T @ acc
+            ge1 += e2d @ gg
+            ge2 += (zg @ _t(acc)).sum(axis=0) + e1d @ gg.T
+            gz += rows(e2d @ acc)
+        g_flat = [g_th[i][j] for j in range(gates) for i in range(k + 1)]
+        return (gz.reshape(z.shape), ge1, ge2, *g_flat)
 
-    return _make(out.reshape(z.shape[:-1] + (beta,)), (z, e1, e2, *thetas), vjp)
+    shape = ((gates,) if gated else ()) + z.shape[axis:-1] + (beta,)
+    return _make(out.reshape(shape), (z, e1, e2, *flat), vjp)
 
 
-def transpose_last(a: Tensor) -> Tensor:
-    """Swap the two trailing axes (matrix transpose on stacked matrices)."""
+def _t(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def level_weights(zs: Sequence[np.ndarray], w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Softmax over levels of the linear scores <w_g, z_m[g, :, s, :]> + b_g.
+
+    `zs` holds M node-major arrays (G, N, S, beta), `w` is (G, N, beta) and
+    `b` is (G,). Returns the weights as (G, M, S): per gate and sample, a
+    point on the simplex over the M levels.
+    """
+    scores = np.stack([np.einsum("gnsj,gnj->gs", z, w) for z in zs], axis=1) + b[:, None, None]
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def level_attention(zs: Sequence[Tensor], w, b) -> Tensor:
+    """Attention-weighted sum of M same-shaped level outputs.
+
+    Each z_m is node-major, (N, ..., beta), `w` is (N*beta) x 1 and `b` is
+    (1,). Per sample, level m is scored by the linear map w . vec(z_m) + b,
+    the scores are normalized by a softmax over levels, and the output is
+    the weighted sum of the z_m. With one `w` and one `b` per gate (lists),
+    each z_m carries a leading gate axis, (gates, N, ..., beta), and gate g
+    is scored by its own map. The bias adds the same value to every level's
+    score, which the softmax ignores, so its gradient is exactly zero.
+    """
+    zs = [_as_tensor(z) for z in zs]
+    gated = isinstance(w, (list, tuple))
+    ws = [_as_tensor(x) for x in (w if gated else [w])]
+    bs = [_as_tensor(x) for x in (b if gated else [b])]
+    if not zs:
+        raise ShapeError("no level outputs to attend over")
+    shape = zs[0].shape
+    if any(z.shape != shape for z in zs):
+        raise ShapeError(f"level outputs disagree in shape: {[z.shape for z in zs]}")
+    axis = 1 if gated else 0
+    if len(shape) < axis + 2 or (gated and shape[0] != len(ws)) or len(bs) != len(ws):
+        raise ShapeError(f"level outputs {shape} do not fit {len(ws)} scoring maps")
+    n, beta = shape[axis], shape[-1]
+    if any(x.shape != (n * beta, 1) for x in ws) or any(x.shape != (1,) for x in bs):
+        raise ShapeError(f"scoring maps {[x.shape for x in ws]} do not fit outputs {shape}")
+    gates = len(ws)
+    zg = [z.data.reshape(gates, n, -1, beta) for z in zs]
+    wg = np.stack([x.data.reshape(n, beta) for x in ws])
+    alpha = level_weights(zg, wg, np.concatenate([x.data for x in bs]))
+    weights = alpha[:, :, None, :, None]
+    out = zg[0] * weights[:, 0]
+    term = np.empty_like(out)
+    for m in range(1, len(zs)):
+        out += np.multiply(zg[m], weights[:, m], out=term)
+
+    def vjp(grad):
+        gh = grad.reshape(out.shape)
+        galpha = np.stack([np.einsum("gnsj,gnsj->gs", gh, z) for z in zg], axis=1)
+        gs = alpha * (galpha - (galpha * alpha).sum(axis=1, keepdims=True))
+        gzs = [
+            gh * weights[:, m] + gs[:, m, None, :, None] * wg[:, :, None, :]
+            for m in range(len(zs))
+        ]
+        gw = sum(np.einsum("gs,gnsj->gnj", gs[:, m], z) for m, z in enumerate(zg))
+        return (
+            *(x.reshape(shape) for x in gzs),
+            *(x.reshape(n * beta, 1) for x in gw),
+            *(np.zeros(1) for _ in bs),
+        )
+
+    return _make(out.reshape(shape), (*zs, *ws, *bs), vjp)
+
+
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of `a`: output axis i is input axis axes[i]."""
     a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got shape {a.shape}")
-    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"axes {axes} do not permute the {a.ndim} axes of shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
+
+
+def take(a: Tensor, index: int) -> Tensor:
+    """The slice a[index] along the leading axis."""
+    a = _as_tensor(a)
+
+    def vjp(g):
+        full = np.zeros(a.shape)
+        full[index] = g
+        return (full,)
+
+    return _make(a.data[index], (a,), vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -347,13 +450,15 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate each branch only where it is stable
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|), which never overflows;
+    # as e <= 1, the numerator is max(e, x >= 0). Computed in place.
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0, out=np.empty_like(x))
+    e += 1.0
+    y /= e
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:

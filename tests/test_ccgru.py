@@ -21,11 +21,20 @@ from ccrnn.graphgen import FactorPair
 from ccrnn.tensor import (
     ShapeError,
     Tensor,
+    add,
     backward,
+    concat,
     finite_difference_check,
+    matmul,
     mul,
+    reshape,
+    softmax,
+    sub,
+    tanh,
+    transpose,
     tsum,
 )
+from ccrnn.tensor import sigmoid as t_sigmoid
 
 
 def sigmoid(x):
@@ -227,6 +236,90 @@ class TestSeq2Seq:
         grads = backward(loss)
         assert model.encoder.structure.base.e1 not in grads
         assert model.encoder.reset.layers[0].thetas[0] in grads
+
+
+def batch_major_forward(model, window, horizon, targets, teacher_prob, rng):
+    """Oracle: the batch-major recurrence op by op. Signals are (B, N, F);
+    each gate runs its own loop diffusion per layer and its own attention
+    chain, and the decoder stacks its frames along axis -3."""
+
+    def diffusion(z, e1, e2, thetas):
+        e2_t = transpose(e2, (1, 0))
+        s, out = z, matmul(z, thetas[0])
+        for theta in thetas[1:]:
+            s = matmul(e1, matmul(e2_t, s))
+            out = add(out, matmul(s, theta))
+        return out
+
+    def gate(z, stack, factors):
+        zs = []
+        for (e1, e2), layer in zip(factors, stack.layers):
+            z = diffusion(z, e1, e2, layer.thetas)
+            zs.append(z)
+        batch, n, beta = zs[0].shape
+        agg = stack.aggregation
+        flats = [reshape(z, (batch, n * beta)) for z in zs]
+        alpha = softmax(concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1))
+        stacked = concat([reshape(f, (batch, 1, n * beta)) for f in flats], axis=1)
+        return reshape(matmul(reshape(alpha, (batch, 1, len(zs))), stacked), (batch, n, beta))
+
+    def step(x, h, cell, factors):
+        xh = concat([x, h], axis=-1)
+        r = t_sigmoid(add(gate(xh, cell.reset, factors), cell.b_r))
+        u = t_sigmoid(add(gate(xh, cell.update, factors), cell.b_u))
+        xc = concat([x, mul(r, h)], axis=-1)
+        c = tanh(add(gate(xc, cell.candidate, factors), cell.b_c))
+        return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
+
+    enc, dec = model.encoder.layer_factors(), model.decoder.layer_factors()
+    batch, steps, n, _ = window.shape
+    h = Tensor(np.zeros((batch, n, model.encoder.hidden_size)))
+    for t in range(steps):
+        h = step(Tensor(window[:, t]), h, model.encoder, enc)
+    proj = model.projection
+    y_prev = Tensor(np.zeros((batch, n, proj.w.shape[1])))
+    frames = []
+    for q in range(horizon):
+        h = step(y_prev, h, model.decoder, dec)
+        y = add(matmul(h, proj.w), proj.b)
+        frames.append(reshape(y, (batch, 1) + y.shape[1:]))
+        if q + 1 < horizon:
+            y_prev = Tensor(targets[:, q]) if rng.random() < teacher_prob else y
+    return concat(frames, axis=1)
+
+
+class TestNodeMajorRecurrence:
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_forward_and_gradients_match_batch_major_oracle(self, coupled):
+        rng = np.random.default_rng(95 + coupled)
+        n, rank, m, k, d, beta, p, q, batch = 5, 2, 3, 2, 2, 3, 3, 3, 3
+        base = FactorPair(
+            e1=Tensor(rng.standard_normal((n, rank)) * 0.5, requires_grad=True),
+            e2=Tensor(rng.standard_normal((n, rank)) * 0.5, requires_grad=True),
+        )
+        model = build_seq2seq(d, beta, m, k, base, rng, coupled=coupled)
+        params = model.named_parameters()
+        for name, param in params.items():  # move every weight off its initial value
+            param.data = param.data + rng.uniform(-0.3, 0.3, size=param.shape)
+        window = rng.standard_normal((batch, p, n, d))
+        targets = rng.standard_normal((batch, q, n, d))
+        probe = rng.standard_normal((batch, q, n, d))
+
+        # seed 0 draws 0.64, then 0.27: one fed-back projection, one target frame
+        got = model.forward(window, q, targets=targets, teacher_prob=0.5,
+                            rng=np.random.default_rng(0))
+        want = batch_major_forward(model, window, q, targets, 0.5, np.random.default_rng(0))
+        assert got.shape == want.shape == (batch, q, n, d)
+        assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+        g_got = backward(tsum(mul(got, Tensor(probe))))
+        g_want = backward(tsum(mul(want, Tensor(probe))))
+        for name, param in params.items():
+            a, b = g_got[param].data, g_want[param].data
+            if name.endswith(".agg.bias"):
+                # the softmax over layers ignores a shared offset: exactly zero
+                assert np.array_equal(a, np.zeros(1)) and np.abs(b).max() < 1e-12, name
+                continue
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 class TestParameterRegistry:

@@ -83,11 +83,11 @@ class TestPropagateLayer:
         rng = np.random.default_rng(13)
         pair = make_pair(rng, 7, 3)
         layer = make_layer(rng, 2, 4, 2)
-        zb = rng.standard_normal((5, 7, 2))
+        zb = rng.standard_normal((7, 5, 2))  # node-major: stations, batch, features
         got = propagate_layer(Tensor(zb), pair.e1, pair.e2, layer)
         for b in range(5):
-            single = propagate_layer(Tensor(zb[b]), pair.e1, pair.e2, layer)
-            np.testing.assert_allclose(got.data[b], single.data, atol=1e-12)
+            single = propagate_layer(Tensor(zb[:, b]), pair.e1, pair.e2, layer)
+            np.testing.assert_allclose(got.data[:, b], single.data, atol=1e-12)
 
     def test_signal_width_mismatch_raises(self):
         rng = np.random.default_rng(14)
@@ -183,6 +183,32 @@ class TestCgcForward:
         for za, zb in zip(a, b):
             np.testing.assert_allclose(za.data, zb.data, atol=1e-12)
 
+    def test_fused_stacks_match_separate_runs(self):
+        """Two stacks over one structure run fused: a leading gate axis, layer 1
+        reading the shared input, deeper layers each gate's own signal."""
+        rng = np.random.default_rng(35)
+        n, rank, m, k, dim_in, beta = 6, 2, 3, 2, 3, 4
+        structure = CoupledStructure(
+            make_pair(rng, n, rank),
+            [
+                CouplingParams(
+                    w=Tensor(rng.standard_normal((rank, rank)), requires_grad=True),
+                    b=Tensor(rng.standard_normal(rank), requires_grad=True),
+                )
+                for _ in range(m - 1)
+            ],
+        )
+        stacks = [
+            CgcStack(structure, init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
+            for _ in range(2)
+        ]
+        x = Tensor(rng.standard_normal((n, 5, dim_in)))
+        fused = cgc_forward(x, stacks)
+        for g, stack in enumerate(stacks):
+            for z_fused, z_single in zip(fused, cgc_forward(x, stack)):
+                assert z_fused.shape == (2,) + z_single.shape
+                np.testing.assert_allclose(z_fused.data[g], z_single.data, atol=1e-12)
+
     def test_factor_count_mismatch_raises(self):
         rng = np.random.default_rng(34)
         pair = make_pair(rng, 5, 2)
@@ -226,15 +252,42 @@ class TestAggregation:
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(43)
-        zb = [rng.standard_normal((3, 5, 2)) for _ in range(2)]
+        zb = [rng.standard_normal((5, 3, 2)) for _ in range(2)]  # node-major
         agg = AggregationParams(
             w_alpha=Tensor(rng.standard_normal((10, 1)), requires_grad=True),
             b_alpha=Tensor(rng.standard_normal(1), requires_grad=True),
         )
         got = aggregate_levels([Tensor(z) for z in zb], agg)
         for b in range(3):
-            single = aggregate_levels([Tensor(z[b]) for z in zb], agg)
-            np.testing.assert_allclose(got.data[b], single.data, atol=1e-12)
+            single = aggregate_levels([Tensor(z[:, b]) for z in zb], agg)
+            np.testing.assert_allclose(got.data[:, b], single.data, atol=1e-12)
+
+    def test_gated_matches_per_gate(self):
+        rng = np.random.default_rng(44)
+        zs = [Tensor(rng.standard_normal((2, 5, 3, 2))) for _ in range(3)]
+        aggs = [
+            AggregationParams(
+                w_alpha=Tensor(rng.standard_normal((10, 1)), requires_grad=True),
+                b_alpha=Tensor(rng.standard_normal(1), requires_grad=True),
+            )
+            for _ in range(2)
+        ]
+        got = aggregate_levels(zs, aggs)
+        for g, agg in enumerate(aggs):
+            single = aggregate_levels([Tensor(z.data[g]) for z in zs], agg)
+            np.testing.assert_allclose(got.data[g], single.data, atol=1e-12)
+
+    def test_attention_weights_read_batch_major_outputs(self):
+        rng = np.random.default_rng(45)
+        zs = [rng.standard_normal((3, 5, 2)) for _ in range(2)]
+        agg = AggregationParams(
+            w_alpha=Tensor(rng.standard_normal((10, 1)), requires_grad=True),
+            b_alpha=Tensor(np.zeros(1), requires_grad=True),
+        )
+        alpha = attention_weights([Tensor(z) for z in zs], agg)
+        scores = np.stack([z.reshape(3, 10) @ agg.w_alpha.data[:, 0] for z in zs], axis=1)
+        want = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(alpha, want, atol=1e-12)
 
     def test_shape_disagreement_raises(self):
         with pytest.raises(ShapeError):

@@ -198,6 +198,19 @@ class TestParse:
         records, tally = parse_trip_records(text.encode(), COORD_SCHEMA)
         assert tally.accepted == 1
 
+    def test_path_and_str_sources_agree(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(coord_csv(
+            [
+                ("2016-04-02 10:00:00", "2016-04-02 10:20:00", -73.98, 40.75, -73.97, 40.76),
+                ("not-a-time", "2016-04-01 09:30:00", -73.99, 40.74, -73.98, 40.75),
+            ]
+        ).getvalue(), encoding="utf-8")
+        from_path = parse_trip_records(path, COORD_SCHEMA)
+        from_str = parse_trip_records(str(path), COORD_SCHEMA)
+        assert from_path == from_str
+        assert from_path[1].accepted == 1 and from_path[1].bad_timestamp == 1
+
     def test_incomplete_schema_rejected(self):
         with pytest.raises(SchemaError):
             ColumnSchema(pickup_time="a", dropoff_time="b").required_columns()

@@ -15,6 +15,7 @@ from ccrnn.tensor import (
     diffuse,
     exp,
     finite_difference_check,
+    level_attention,
     matmul,
     mul,
     no_grad,
@@ -23,9 +24,10 @@ from ccrnn.tensor import (
     softmax,
     sqrt,
     sub,
+    take,
     tanh,
     tmean,
-    transpose_last,
+    transpose,
     tsum,
 )
 
@@ -105,6 +107,26 @@ class TestElementwise:
         out = add(Tensor(np.ones((2, 3))), Tensor([10.0, 20.0, 30.0]))
         np.testing.assert_array_equal(out.data, [[11, 21, 31], [11, 21, 31]])
 
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+                   1000.0, -1000.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate([special, np.random.default_rng(3).standard_normal(10_000) * 10])
+        with np.errstate(over="raise"):
+            got = sigmoid(Tensor(x)).data
+        want = two_branch(x)
+        # a NaN stays NaN; its sign bit carries no value and is not compared
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
@@ -173,18 +195,21 @@ class TestBackward:
 
 
 def loop_diffusion(z, e1, e2, thetas):
-    """Oracle: the op-by-op K-hop loop, S_{i+1} = E1 (E2^T S_i), one filter per hop."""
-    e2_t = transpose_last(e2)
+    """Oracle: the op-by-op K-hop loop on a node-major signal (N, ..., F),
+    S_{i+1} = E1 (E2^T S_i) with the batch axes folded into columns, one
+    filter per hop."""
+    e2_t = transpose(e2, (1, 0))
+    columns = (z.shape[0], z.size // z.shape[0])
     s = z
     out = matmul(s, thetas[0])
     for theta in thetas[1:]:
-        s = matmul(e1, matmul(e2_t, s))
+        s = reshape(matmul(e1, matmul(e2_t, reshape(s, columns))), z.shape)
         out = add(out, matmul(s, theta))
     return out
 
 
 def _diffusion_operands(rng, lead, n, rank, f, beta, k, scale=1.0):
-    z = Tensor(scale * rng.standard_normal(lead + (n, f)), requires_grad=True)
+    z = Tensor(scale * rng.standard_normal((n,) + lead + (f,)), requires_grad=True)
     e1 = Tensor(scale * rng.standard_normal((n, rank)), requires_grad=True)
     e2 = Tensor(scale * rng.standard_normal((n, rank)), requires_grad=True)
     thetas = [Tensor(scale * rng.standard_normal((f, beta)), requires_grad=True)
@@ -201,7 +226,7 @@ class TestDiffuse:
         n, f, beta = 6, 3, 4
         for rank in range(1, 5):
             z, e1, e2, thetas = _diffusion_operands(rng, lead, n, rank, f, beta, k)
-            weight = Tensor(rng.standard_normal(lead + (n, beta)))
+            weight = Tensor(rng.standard_normal((n,) + lead + (beta,)))
             got, want = diffuse(z, e1, e2, thetas), loop_diffusion(z, e1, e2, thetas)
             assert got.shape == want.shape
             pairs = [(got.data, want.data)]
@@ -216,7 +241,7 @@ class TestDiffuse:
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
         z, e1, e2, thetas = _diffusion_operands(rng, (2,), 5, 3, 3, 4, 3, scale=0.4)
-        weight = Tensor(rng.standard_normal((2, 5, 4)))
+        weight = Tensor(rng.standard_normal((5, 2, 4)))
         params = {"z": z, "e1": e1, "e2": e2}
         params.update({f"theta{i}": t for i, t in enumerate(thetas)})
         report = finite_difference_check(
@@ -235,7 +260,7 @@ class TestDiffuse:
         rng = np.random.default_rng(9)
         z, e1, e2, thetas = _diffusion_operands(rng, (2,), 5, 3, 2, 4, 2)
         with pytest.raises(ShapeError):
-            diffuse(Tensor(rng.standard_normal((2, 6, 2))), e1, e2, thetas)
+            diffuse(Tensor(rng.standard_normal((6, 2, 2))), e1, e2, thetas)
 
     def test_hop_filters_must_agree(self):
         rng = np.random.default_rng(10)
@@ -243,6 +268,161 @@ class TestDiffuse:
         thetas[2] = Tensor(rng.standard_normal((2, 3)))
         with pytest.raises(ShapeError):
             diffuse(z, e1, e2, thetas)
+
+
+def _gated_operands(rng, gates, lead, n, rank, f, beta, k, grouped, scale=1.0):
+    z, e1, e2, _ = _diffusion_operands(rng, lead, n, rank, f, beta, k, scale)
+    if grouped:
+        z = Tensor(scale * rng.standard_normal((gates,) + z.shape), requires_grad=True)
+    thetas = [
+        [Tensor(scale * rng.standard_normal((f, beta)), requires_grad=True) for _ in range(k + 1)]
+        for _ in range(gates)
+    ]
+    return z, e1, e2, thetas
+
+
+def per_gate_diffusion(z, e1, e2, thetas, grouped):
+    """Reference: one single-gate diffusion per gate, gate g reading z or z[g]."""
+    return [
+        diffuse(take(z, g) if grouped else z, e1, e2, ts) for g, ts in enumerate(thetas)
+    ]
+
+
+class TestGatedDiffuse:
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_matches_per_gate_calls(self, k, lead, grouped):
+        """Value and every gradient agree with per-gate calls, and with the loop."""
+        rng = np.random.default_rng(200 + 10 * k + len(lead) + 5 * grouped)
+        n, rank, f, beta, gates = 6, 3, 3, 4, 3
+        z, e1, e2, thetas = _gated_operands(rng, gates, lead, n, rank, f, beta, k, grouped)
+        weight = rng.standard_normal((gates, n) + lead + (beta,))
+        got = diffuse(z, e1, e2, thetas, grouped=grouped)
+        assert got.shape == (gates, n) + lead + (beta,)
+        refs = per_gate_diffusion(z, e1, e2, thetas, grouped)
+        loops = [loop_diffusion(take(z, g) if grouped else z, e1, e2, ts)
+                 for g, ts in enumerate(thetas)]
+        g_got = backward(tsum(mul(got, Tensor(weight))))
+        for want in (refs, loops):
+            total = want[0] * Tensor(weight[0])
+            for g in range(1, gates):
+                total = add(total, mul(want[g], Tensor(weight[g])))
+            g_want = backward(tsum(total))
+            pairs = [(got.data[g], want[g].data) for g in range(gates)]
+            for t in (z, e1, e2, *(t for ts in thetas for t in ts)):
+                pairs.append((g_got[t].data, g_want[t].data if t in g_want else np.zeros(t.shape)))
+            for a, b in pairs:
+                assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_finite_differences(self, grouped):
+        rng = np.random.default_rng(17 + grouped)
+        z, e1, e2, thetas = _gated_operands(rng, 2, (2,), 5, 3, 3, 4, 2, grouped, scale=0.4)
+        weight = Tensor(rng.standard_normal((2, 5, 2, 4)))
+        params = {"z": z, "e1": e1, "e2": e2}
+        params.update(
+            {f"gate{g}.theta{i}": t for g, ts in enumerate(thetas) for i, t in enumerate(ts)}
+        )
+        report = finite_difference_check(
+            lambda: tsum(mul(diffuse(z, e1, e2, thetas, grouped=grouped), weight)), params,
+            step=1e-5, tolerance=1e-4,
+        )
+        assert report.passed, str(report)
+
+    def test_grouped_signal_needs_one_filter_list_per_gate(self):
+        rng = np.random.default_rng(18)
+        z, e1, e2, thetas = _gated_operands(rng, 2, (), 5, 3, 2, 4, 1, grouped=True)
+        with pytest.raises(ShapeError):
+            diffuse(z, e1, e2, thetas[0], grouped=True)
+        with pytest.raises(ShapeError):
+            diffuse(z, e1, e2, thetas + thetas[:1], grouped=True)
+
+    def test_gates_must_agree_in_hop_count(self):
+        rng = np.random.default_rng(19)
+        z, e1, e2, thetas = _gated_operands(rng, 2, (), 5, 3, 2, 4, 2, grouped=False)
+        with pytest.raises(ShapeError):
+            diffuse(z, e1, e2, [thetas[0], thetas[1][:2]])
+
+
+def chain_attention(zs, w, b):
+    """Oracle: the op-by-op attention chain on batch-major outputs (batch, N, beta).
+
+    Each output is flattened to (batch, N*beta), scored by the shared map,
+    the scores are concatenated and normalized by a softmax over levels, and
+    one batched product weights the stacked outputs.
+    """
+    batch, n, beta = zs[0].shape
+    flats = [reshape(z, (batch, n * beta)) for z in zs]
+    scores = concat([add(matmul(f, w), b) for f in flats], axis=1)
+    alpha = softmax(scores, axis=-1)
+    stacked = concat([reshape(f, (batch, 1, n * beta)) for f in flats], axis=1)
+    h = matmul(reshape(alpha, (batch, 1, len(zs))), stacked)
+    return reshape(h, (batch, n, beta))
+
+
+def _attention_operands(rng, gates, levels, n, batch, beta):
+    zs = [Tensor(rng.standard_normal((gates, n, batch, beta)), requires_grad=True)
+          for _ in range(levels)]
+    ws = [Tensor(rng.standard_normal((n * beta, 1)) * 0.3, requires_grad=True)
+          for _ in range(gates)]
+    bs = [Tensor(rng.standard_normal(1), requires_grad=True) for _ in range(gates)]
+    return zs, ws, bs
+
+
+class TestLevelAttention:
+    @pytest.mark.parametrize("gates", [1, 2])
+    def test_matches_op_chain(self, gates):
+        """Value and gradients agree with the chain run gate by gate on the
+        batch-major view; the bias gradient is exactly zero."""
+        rng = np.random.default_rng(300 + gates)
+        levels, n, batch, beta = 3, 5, 4, 3
+        zs, ws, bs = _attention_operands(rng, gates, levels, n, batch, beta)
+        weight = rng.standard_normal((gates, n, batch, beta))
+        got = level_attention(zs, ws, bs)
+        total = None
+        for g in range(gates):
+            batch_major = [transpose(take(z, g), (1, 0, 2)) for z in zs]
+            out = transpose(chain_attention(batch_major, ws[g], bs[g]), (1, 0, 2))
+            np.testing.assert_allclose(got.data[g], out.data, rtol=0, atol=1e-12)
+            term = tsum(mul(out, Tensor(weight[g])))
+            total = term if total is None else add(total, term)
+        g_got = backward(tsum(mul(got, Tensor(weight))))
+        g_want = backward(total)
+        for t in (*zs, *ws):
+            b = g_want[t].data
+            assert np.abs(g_got[t].data - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+        for t in bs:
+            assert np.array_equal(g_got[t].data, np.zeros(1))
+            assert np.abs(g_want[t].data).max() < 1e-12  # the chain's rounding noise
+
+    def test_ungated_matches_single_gate(self):
+        rng = np.random.default_rng(310)
+        zs, ws, bs = _attention_operands(rng, 1, 2, 4, 3, 2)
+        got = level_attention([reshape(z, z.shape[1:]) for z in zs], ws[0], bs[0])
+        want = level_attention(zs, ws, bs)
+        np.testing.assert_array_equal(got.data, want.data[0])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(311)
+        zs, ws, bs = _attention_operands(rng, 2, 3, 3, 2, 2)
+        weight = Tensor(rng.standard_normal((2, 3, 2, 2)))
+        params = {f"z{m}": z for m, z in enumerate(zs)}
+        params.update({f"w{g}": w for g, w in enumerate(ws)})
+        params.update({f"b{g}": b for g, b in enumerate(bs)})
+        report = finite_difference_check(
+            lambda: tsum(mul(level_attention(zs, ws, bs), weight)), params,
+            step=1e-5, tolerance=1e-4,
+        )
+        assert report.passed, str(report)
+
+    def test_scoring_map_must_fit_outputs(self):
+        rng = np.random.default_rng(312)
+        zs, ws, bs = _attention_operands(rng, 2, 2, 4, 3, 2)
+        with pytest.raises(ShapeError):
+            level_attention(zs, ws[:1], bs[:1])
+        with pytest.raises(ShapeError):
+            level_attention(zs, [Tensor(np.zeros((7, 1)))] * 2, bs)
 
 
 def _fd_scalar(fn, arrays, step=1e-6):
@@ -271,7 +451,9 @@ class TestPrimitiveVjps:
         "sub": (lambda a, b: tsum(mul(sub(a, b), sub(a, b))), 2),
         "mul": (lambda a, b: tsum(mul(mul(a, b), a)), 2),
         "matmul": (
-            lambda a, b: tsum(mul(matmul(a, transpose_last(b)), matmul(a, transpose_last(b)))),
+            lambda a, b: tsum(
+                mul(matmul(a, transpose(b, (1, 0))), matmul(a, transpose(b, (1, 0))))
+            ),
             2,
         ),
         "sigmoid": (lambda a: tsum(mul(sigmoid(a), sigmoid(a))), 1),
@@ -281,7 +463,8 @@ class TestPrimitiveVjps:
         "softmax": (lambda a: tsum(mul(softmax(a, axis=-1), a)), 1),
         "mean": (lambda a: tmean(mul(a, a)), 1),
         "reshape": (lambda a: tsum(mul(reshape(a, (4, 3)), reshape(a, (4, 3)))), 1),
-        "transpose": (lambda a: tsum(mul(transpose_last(a), transpose_last(a))), 1),
+        "transpose": (lambda a: tsum(mul(transpose(a, (1, 0)), transpose(a, (1, 0)))), 1),
+        "take": (lambda a: tsum(mul(take(a, 1), take(a, 2))), 1),
         "concat": (
             lambda a, b: tsum(mul(concat([a, b], axis=1), concat([a, b], axis=1))),
             2,
@@ -328,7 +511,7 @@ class TestFiniteDifferenceCheck:
         x = Tensor([[1.0], [2.0]])
 
         def forward():
-            return tsum(sigmoid(matmul(sigmoid(matmul(w, x)), transpose_last(x))))
+            return tsum(sigmoid(matmul(sigmoid(matmul(w, x)), transpose(x, (1, 0)))))
 
         report = finite_difference_check(forward, {"w": w}, step=1e-5)
         assert report.passed

@@ -264,20 +264,24 @@ class TestTrainLoop:
 
 class TestTapeSize:
     def test_training_forward_records_closed_form_node_count(self):
-        """One taped op per graph-convolution layer, whatever K is."""
+        """One taped op per graph-convolution layer, whatever K is; the reset
+        and update gates share theirs."""
         m, k, p, q = 3, 3, 4, 4
         data = tiny_data(p=p, q=q)
         pred = tiny_model(m=m, k=k).forward(
             data.train_x[:3], q, targets=data.train_y[:3], teacher_prob=0.5,
             rng=np.random.default_rng(0),
         )
-        # per gate: M diffusions, 4M+6 attention-aggregation ops, bias and activation
-        gate = m + (4 * m + 6) + 2
-        # per GRU step: concat, three gates, r*h and its concat, the u-blend
-        step = 1 + 3 * gate + 2 + 4
+        # reset and update fused: M diffusions, one attention op, then per gate
+        # its slice, bias and activation
+        fused = m + 1 + 3 * 2
+        # candidate: M diffusions, one attention op, bias and activation
+        candidate = m + 1 + 2
+        # per GRU step: concat, the gates, r*h and its concat, the u-blend
+        step = 1 + fused + candidate + 2 + 4
         ops = (
             (p + q) * step - 1  # the first encoder step's [x, h] holds no gradient
-            + 3 * q + 1  # readout per decoder step, concat of the frames
+            + 3 * q + 1 + 1  # readout per decoder step, concat of the frames, transpose
             + 2 * 4 * (m - 1)  # coupled factors, derived once per cell
             + 5  # RMSE loss
         )
