@@ -2,15 +2,17 @@
 
 Every gate of the GRU replaces its dense matmul with a coupled graph
 convolution stack. The three gate stacks of one cell share a single graph
-structure (base embedding pair plus couplings); each gate keeps its own
-filter and aggregation weights. The reset and update gates convolve the same
-[x, h], so they run fused (after DCRNN's DCGRUCell): one diffusion per layer
-for both, with a leading gate axis, and one attention op.
+structure (base embedding pair plus couplings), which the cell owns; each
+gate keeps its own filter and aggregation weights. Every gate runs through
+the same call (after DCRNN's DCGRUCell): the reset and update gates convolve
+the same [x, h] as one two-gate stack, one diffusion per layer for both and
+one attention op, and the candidate runs as a one-gate stack.
 
-The recurrence is node-major: inputs are (N, ..., d) and the state is
-(N, ..., beta), stations first and any batch axes between, so no step
-changes a layout. `Seq2Seq.forward` keeps the batch-major (B, P, N, d) ->
-(B, Q, N, d) contract and converts once at each end.
+The recurrence is node-major behind the gate axis of a one-gate stack:
+inputs are (1, N, ..., d) and the state is (1, N, ..., beta), stations next
+and any batch axes between, so no step changes a layout. `Seq2Seq.forward`
+keeps the batch-major (B, P, N, d) -> (B, Q, N, d) contract and converts
+once at each end.
 
 Forecasting runs encoder/decoder style: the encoder folds the observation
 window into a hidden state, the decoder rolls the horizon forward from a
@@ -45,7 +47,6 @@ from .tensor import (
     concat,
     matmul,
     mul,
-    reshape,
     sigmoid,
     sub,
     take,
@@ -80,9 +81,7 @@ class CcgruCell:
             ("update", self.update),
             ("candidate", self.candidate),
         ):
-            out.update(
-                stack_named_parameters(stack, f"{prefix}.{gate}", include_structure=False)
-            )
+            out.update(stack_named_parameters(stack, f"{prefix}.{gate}"))
         out[f"{prefix}.bias.reset"] = self.b_r
         out[f"{prefix}.bias.update"] = self.b_u
         out[f"{prefix}.bias.candidate"] = self.b_c
@@ -101,18 +100,19 @@ def _array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def ccgru_step(x: Tensor, h: Tensor, cell: CcgruCell, factors=None) -> Tensor:
+def ccgru_step(x: Tensor, h: Tensor, cell: CcgruCell, factors) -> Tensor:
     """One GRU update: r and u gate the state, the candidate blends in.
 
-    `x` is node-major (N, ..., d) and `h` is (N, ..., beta). The reset and
-    update gates run as one fused stack with a leading gate axis. `factors`
-    may carry the per-layer embeddings derived once per sequence; all three
-    gates reuse them.
+    `x` is (1, N, ..., d) and `h` is (1, N, ..., beta). The reset and update
+    gates run as one two-gate stack, the candidate as a one-gate stack, and
+    all three reuse `factors`, the per-layer embeddings derived once per
+    sequence.
     """
     if x.shape[:-1] != h.shape[:-1]:
         raise ShapeError(f"input {x.shape} and state {h.shape} disagree on stations")
-    if factors is None:
-        factors = cell.layer_factors()
+    # xh and xc stay bound until the step returns. Without a tape nothing else
+    # holds them, and freeing them mid-step shifted the allocator's heap swing:
+    # a gradient-free step then took about 70% more page faults.
     xh = concat([x, h], axis=-1)
     gates = [cell.reset, cell.update]
     ru = aggregate_levels(cgc_forward(xh, gates, factors), [g.aggregation for g in gates])
@@ -120,23 +120,21 @@ def ccgru_step(x: Tensor, h: Tensor, cell: CcgruCell, factors=None) -> Tensor:
     u = sigmoid(add(take(ru, 1), cell.b_u))
     xc = concat([x, mul(r, h)], axis=-1)
     cand = cell.candidate
-    c = tanh(add(aggregate_levels(cgc_forward(xc, cand, factors), cand.aggregation), cell.b_c))
+    c = tanh(add(aggregate_levels(cgc_forward(xc, [cand], factors), [cand.aggregation]), cell.b_c))
     return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
 
 
-def encode(window, cell: CcgruCell, factors=None) -> Tensor:
-    """Fold a node-major window (P, N, ..., d) into a hidden state (N, ..., beta).
+def encode(window, cell: CcgruCell, factors) -> Tensor:
+    """Fold a node-major window (P, N, ..., d) into a hidden state (1, N, ..., beta).
 
     The initial state is zero; the window itself carries no gradient.
     """
     arr = _array(window)
     if arr.ndim < 3:
         raise ShapeError(f"window must be at least (P, N, d), got {arr.shape}")
-    if factors is None:
-        factors = cell.layer_factors()
-    h = Tensor(np.zeros(arr.shape[1:-1] + (cell.hidden_size,)))
-    for frame in arr:
-        h = ccgru_step(Tensor(frame), h, cell, factors)
+    h = Tensor(np.zeros((1,) + arr.shape[1:-1] + (cell.hidden_size,)))
+    for t in range(arr.shape[0]):
+        h = ccgru_step(Tensor(arr[t : t + 1]), h, cell, factors)
     return h
 
 
@@ -145,18 +143,18 @@ def decode(
     horizon: int,
     cell: CcgruCell,
     projection: OutputProjection,
+    factors,
     targets=None,
     teacher_prob: float = 0.0,
     rng: np.random.Generator | None = None,
-    factors=None,
 ) -> Tensor:
     """Roll the decoder `horizon` steps from a zero GO frame.
 
-    `h` is node-major (N, ..., beta), `targets` (Q, N, ..., d), and the
-    forecast is (Q, N, ..., d). At each step after the first, the input is
-    the previous target frame with probability `teacher_prob` (one draw per
-    step), otherwise the previous projection. Fed-back projections stay in
-    the autodiff graph. Everything here lives in standardized space.
+    `h` is (1, N, ..., beta), `targets` (Q, N, ..., d), and the forecast is
+    (Q, N, ..., d). At each step after the first, the input is the previous
+    target frame with probability `teacher_prob` (one draw per step),
+    otherwise the previous projection. Fed-back projections stay in the
+    autodiff graph. Everything here lives in standardized space.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -164,8 +162,6 @@ def decode(
         raise ValueError("teacher forcing requested without targets")
     if teacher_prob > 0.0 and rng is None:
         raise ValueError("teacher forcing requires an rng for the per-step draws")
-    if factors is None:
-        factors = cell.layer_factors()
     d = projection.w.shape[1]
     tgt = None if targets is None else _array(targets)
 
@@ -174,10 +170,10 @@ def decode(
     for q in range(horizon):
         h = ccgru_step(y_prev, h, cell, factors)
         y = add(matmul(h, projection.w), projection.b)
-        frames.append(reshape(y, (1,) + y.shape))
+        frames.append(y)
         if q + 1 < horizon:
             if tgt is not None and teacher_prob > 0.0 and rng.random() < teacher_prob:
-                y_prev = Tensor(tgt[q])
+                y_prev = Tensor(tgt[q : q + 1])
             else:
                 y_prev = y
     return concat(frames, axis=0)
@@ -238,10 +234,10 @@ class Seq2Seq:
             horizon,
             self.decoder,
             self.projection,
+            dec_factors,
             targets=targets,
             teacher_prob=teacher_prob,
             rng=rng,
-            factors=dec_factors,
         )
         if not batch_axes:
             return out
@@ -294,9 +290,7 @@ def build_cell(
 
     def make_stack() -> CgcStack:
         return CgcStack(
-            structure,
-            init_layers(gate_width, beta, m_layers, k_hops, rng),
-            init_aggregation(n, beta),
+            init_layers(gate_width, beta, m_layers, k_hops, rng), init_aggregation(n, beta)
         )
 
     return CcgruCell(

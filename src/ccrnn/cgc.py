@@ -9,11 +9,13 @@ trained embeddings; deeper layers derive theirs through a shared affine
 coupling. The outputs of all layers are combined by softmax attention over
 per-layer scores, one taped `tensor.level_attention` op.
 
-Signals are node-major, (N, ..., F): the station axis first, the feature
-axis last and any batch axes between, so diffusion changes no layout.
-Several stacks over one structure (the GRU's reset and update gates) run as
-one: their outputs carry a leading gate axis, layer 1 diffuses the shared
-input once for all of them, and each deeper layer is one grouped call.
+Every call runs a stack of gates over one structure, and every signal is
+node-major behind a gate axis, (G, N, ..., F): the gate axis first, then
+the station axis, the feature axis last and any batch axes between, so
+diffusion changes no layout. A signal that all gates read has G = 1: layer 1
+diffuses it once for the whole stack, and each deeper layer diffuses every
+gate's own signal in the same call. A single gate (the GRU's candidate) is a
+one-gate stack.
 """
 
 from __future__ import annotations
@@ -114,9 +116,8 @@ class IndependentStructure:
 
 @dataclass
 class CgcStack:
-    """M convolution layers over a (possibly shared) graph structure."""
+    """One gate's M convolution layers; its cell owns the graph structure."""
 
-    structure: CoupledStructure | IndependentStructure
     layers: list[CgcLayerParams]
     aggregation: AggregationParams
 
@@ -135,49 +136,28 @@ def couple_embeddings(e1: Tensor, e2: Tensor, coupling: CouplingParams) -> tuple
     )
 
 
-def propagate_layer(
-    z: Tensor,
-    e1: Tensor,
-    e2: Tensor,
-    layer: CgcLayerParams | list[CgcLayerParams],
-    grouped: bool = False,
-) -> Tensor:
+def propagate_layer(z: Tensor, e1: Tensor, e2: Tensor, layers: list[CgcLayerParams]) -> Tensor:
     """Diffuse `z` through powers of the implied adjacency and apply filters.
 
-    Returns sum_i S_i theta_i with S_0 = Z and S_i = (E1 E2^T)^i Z, as one
-    taped `diffuse` op on the node-major signal. The hops run through the
-    L x L matrix E2^T E1, so neither the N x N adjacency nor any S_i is
-    formed, and a layer costs about N L (F + beta) + K L^2 F per sample.
-    A list of layers (one per gate) adds a leading gate axis to the output;
-    with `grouped`, `z` carries that axis too.
+    Returns, per gate, sum_i S_i theta_i with S_0 = Z and S_i = (E1 E2^T)^i Z,
+    as one taped `diffuse` op on the node-major signal. `layers` holds the
+    gates' parameters for this layer, and the output is (gates, N, ..., beta).
+    The hops run through the L x L matrix E2^T E1, so neither the N x N
+    adjacency nor any S_i is formed, and a layer costs about
+    N L (F + beta) + K L^2 F per sample and gate.
     """
-    fused = isinstance(layer, list)
-    first = layer[0] if fused else layer
-    if z.shape[-1] != first.thetas[0].shape[0]:
-        raise ShapeError(
-            f"signal width {z.shape} does not match filter {first.thetas[0].shape}"
-        )
-    thetas = [lay.thetas for lay in layer] if fused else layer.thetas
-    return diffuse(z, e1, e2, thetas, grouped=grouped)
+    return diffuse(z, e1, e2, [layer.thetas for layer in layers])
 
 
 def cgc_forward(
-    x: Tensor,
-    stack: CgcStack | list[CgcStack],
-    layer_factors: list[tuple[Tensor, Tensor]] | None = None,
+    x: Tensor, stacks: list[CgcStack], layer_factors: list[tuple[Tensor, Tensor]]
 ) -> list[Tensor]:
-    """Run all layers, collecting every layer's output for aggregation.
+    """Run all layers of the stacks, collecting every layer's output.
 
-    `x` is node-major, (N, ..., F). A list of stacks over one structure runs
-    them fused: every output gains a leading gate axis, layer 1 diffuses `x`
-    once for all of them, and deeper layers diffuse each gate's own signal.
-    `layer_factors` lets a caller that evaluates several stacks over the same
-    structure (the three GRU gates) derive the per-layer embeddings once.
+    `x` is (1, N, ..., F) and read by every gate; each output is
+    (gates, N, ..., beta). `layer_factors` holds the per-layer embeddings of
+    the structure the stacks share, derived once by the caller.
     """
-    fused = isinstance(stack, list)
-    stacks = stack if fused else [stack]
-    if layer_factors is None:
-        layer_factors = stacks[0].structure.layer_factors()
     if any(len(layer_factors) != s.num_layers for s in stacks):
         raise ShapeError(
             f"{len(layer_factors)} factor pairs for {[s.num_layers for s in stacks]} layers"
@@ -185,25 +165,19 @@ def cgc_forward(
     outputs: list[Tensor] = []
     z = x
     for m, (e1, e2) in enumerate(layer_factors):
-        layers = [s.layers[m] for s in stacks] if fused else stack.layers[m]
-        z = propagate_layer(z, e1, e2, layers, grouped=fused and m > 0)
+        z = propagate_layer(z, e1, e2, [s.layers[m] for s in stacks])
         outputs.append(z)
     return outputs
 
 
-def aggregate_levels(
-    zs: list[Tensor], agg: AggregationParams | list[AggregationParams]
-) -> Tensor:
+def aggregate_levels(zs: list[Tensor], aggs: list[AggregationParams]) -> Tensor:
     """Softmax-weighted sum of the layer outputs, one taped op.
 
-    Per sample, each node-major output is scored by the shared linear map
-    over its station*feature entries, and the scores are normalized across
-    layers. A list of aggregations scores gated outputs (G, N, ..., beta),
-    gate g by its own map.
+    Per gate and sample, each output (gates, N, ..., beta) is scored by the
+    gate's linear map over its station*feature entries, and the scores are
+    normalized across layers.
     """
-    if isinstance(agg, list):
-        return level_attention(zs, [a.w_alpha for a in agg], [a.b_alpha for a in agg])
-    return level_attention(zs, agg.w_alpha, agg.b_alpha)
+    return level_attention(zs, [a.w_alpha for a in aggs], [a.b_alpha for a in aggs])
 
 
 def attention_weights(zs: list[Tensor], agg: AggregationParams) -> np.ndarray:
@@ -240,10 +214,8 @@ def init_aggregation(n: int, beta: int) -> AggregationParams:
     )
 
 
-def stack_named_parameters(stack: CgcStack, prefix: str, include_structure: bool = True) -> dict[str, Tensor]:
+def stack_named_parameters(stack: CgcStack, prefix: str) -> dict[str, Tensor]:
     out: dict[str, Tensor] = {}
-    if include_structure:
-        out.update(stack.structure.named_parameters(f"{prefix}.graph"))
     for m, layer in enumerate(stack.layers):
         for i, theta in enumerate(layer.thetas):
             out[f"{prefix}.layer{m}.theta{i}"] = theta

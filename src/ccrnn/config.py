@@ -100,8 +100,16 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError(f"epsilon override must be positive, got {self.epsilon}")
-        if self.rect is not None and len(self.rect) != 4:
-            raise ConfigError("rect must be [min_lon, min_lat, max_lon, max_lat]")
+        if self.rect is not None:
+            if len(self.rect) != 4:
+                raise ConfigError("rect must be [min_lon, min_lat, max_lon, max_lat]")
+            min_lon, min_lat, max_lon, max_lat = self.rect
+            if min_lon > max_lon or min_lat > max_lat:
+                raise ConfigError(f"rect {self.rect} has a minimum above its maximum")
+            coords = (self.pickup_lon_col, self.pickup_lat_col,
+                      self.dropoff_lon_col, self.dropoff_lat_col)
+            if not all(coords):
+                raise ConfigError("rect needs all four coordinate columns to filter trips by")
 
     @property
     def bin_width(self) -> timedelta:

@@ -38,9 +38,6 @@ class FactorPair:
     def rank(self) -> int:
         return self.e1.shape[1]
 
-    def implied_adjacency(self) -> np.ndarray:
-        return self.e1.data @ self.e2.data.T
-
 
 def truncated_svd(mx: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-`rank` factorization: U (R x rank), S (rank,), V (C x rank).

@@ -72,41 +72,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (not a copy; treat as read-only)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # arithmetic sugar; scalars and arrays are wrapped as constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 GradientMap = dict  # parameter Tensor -> gradient Tensor of identical shape
@@ -129,8 +97,8 @@ def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing trailing-axis broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    while grad.ndim > len(shape):  # a leading axis of 1 (a one-gate stack's) drops free
+        grad = grad[0] if grad.shape[0] == 1 else grad.sum(axis=0)
     for axis, n in enumerate(shape):
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -184,11 +152,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading axes act as broadcast batch dimensions."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -207,18 +170,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), vjp)
 
 
-def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas, grouped: bool = False) -> Tensor:
+def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas) -> Tensor:
     """K-hop diffusion through the low-rank adjacency E1 E2^T, filtered per hop.
 
-    Returns sum_i S_i theta_i for i = 0..K, where S_0 = Z and
-    S_i = (E1 E2^T)^i Z. `z` is node-major, (N, ..., F): the station axis
-    first, the feature axis last and any batch axes between. `e1` and `e2`
-    are N x L, and the K+1 thetas are F x beta.
-
-    `thetas` may instead hold one list of K+1 filters per gate. The output
-    then gains a leading gate axis, (gates, N, ..., beta). Every gate reads
-    the same `z`, so the hops are computed once, unless `grouped`: then `z`
-    is (gates, N, ..., F) and gate g diffuses z[g].
+    `thetas` holds one list of K+1 filters (F x beta) per gate. Gate g
+    returns sum_i S_i theta_{g,i} for i = 0..K, where S_0 = Z and
+    S_i = (E1 E2^T)^i Z, and the output is (gates, N, ..., beta). `z` is
+    node-major behind its gate axis, (gates, N, ..., F): the station axis
+    next, the feature axis last and any batch axes between. A `z` whose
+    gate axis is 1 is read by every gate, and its hops are computed once.
+    `e1` and `e2` are N x L.
 
     The hops run in rank space: T_1 = E2^T Z and T_{i+1} = G T_i with
     G = E2^T E1 (L x L), so S_i = E1 T_i is never formed. The node-major
@@ -227,8 +188,7 @@ def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas, grouped: bool = False) ->
     views of the T_i, and a single product with E1 returns to station space.
     """
     z, e1, e2 = _as_tensor(z), _as_tensor(e1), _as_tensor(e2)
-    gated = bool(thetas) and isinstance(thetas[0], (list, tuple))
-    per_gate = [[_as_tensor(t) for t in ts] for ts in (thetas if gated else [thetas])]
+    per_gate = [[_as_tensor(t) for t in ts] for ts in thetas]
     flat = [t for ts in per_gate for t in ts]
     if not flat or any(len(ts) != len(per_gate[0]) for ts in per_gate) or any(
         t.ndim != 2 or t.shape != flat[0].shape for t in flat
@@ -237,15 +197,15 @@ def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas, grouped: bool = False) ->
         raise ShapeError(f"hop filters disagree in shape: {shapes}")
     if e1.ndim != 2 or e1.shape != e2.shape:
         raise ShapeError(f"diffusion factors must share one N x L shape: {e1.shape}, {e2.shape}")
-    if grouped and (not gated or z.ndim < 3 or z.shape[0] != len(per_gate)):
-        raise ShapeError(f"grouped signal {z.shape} needs one filter list per gate on axis 0")
-    axis = 1 if grouped else 0
-    if z.ndim < axis + 2 or z.shape[axis] != e1.shape[0]:
+    gates = len(per_gate)
+    if z.ndim < 3 or z.shape[0] not in (1, gates):
+        raise ShapeError(f"signal {z.shape} needs a leading gate axis of 1 or {gates}")
+    if z.shape[1] != e1.shape[0]:
         raise ShapeError(f"signal {z.shape} does not have the factors' {e1.shape[0]} rows")
     if z.shape[-1] != flat[0].shape[0]:
         raise ShapeError(f"signal width {z.shape} does not match filter {flat[0].shape}")
     (n, rank), (f, beta), k = e1.shape, flat[0].shape, len(per_gate[0]) - 1
-    gates, zgates = len(per_gate), len(per_gate) if grouped else 1
+    zgates = z.shape[0]
     b = z.size // (zgates * n * f)
     zg = z.data.reshape(zgates, n, b * f)
     th = [np.stack([ts[i].data for ts in per_gate]) for i in range(k + 1)]  # (gates, F, beta)
@@ -290,7 +250,7 @@ def diffuse(z: Tensor, e1: Tensor, e2: Tensor, thetas, grouped: bool = False) ->
         g_flat = [g_th[i][j] for j in range(gates) for i in range(k + 1)]
         return (gz.reshape(z.shape), ge1, ge2, *g_flat)
 
-    shape = ((gates,) if gated else ()) + z.shape[axis:-1] + (beta,)
+    shape = (gates,) + z.shape[1:-1] + (beta,)
     return _make(out.reshape(shape), (z, e1, e2, *flat), vjp)
 
 
@@ -310,30 +270,28 @@ def level_weights(zs: Sequence[np.ndarray], w: np.ndarray, b: np.ndarray) -> np.
     return e / e.sum(axis=1, keepdims=True)
 
 
-def level_attention(zs: Sequence[Tensor], w, b) -> Tensor:
-    """Attention-weighted sum of M same-shaped level outputs.
+def level_attention(zs: Sequence[Tensor], ws: Sequence[Tensor], bs: Sequence[Tensor]) -> Tensor:
+    """Attention-weighted sum of M same-shaped level outputs, per gate.
 
-    Each z_m is node-major, (N, ..., beta), `w` is (N*beta) x 1 and `b` is
-    (1,). Per sample, level m is scored by the linear map w . vec(z_m) + b,
-    the scores are normalized by a softmax over levels, and the output is
-    the weighted sum of the z_m. With one `w` and one `b` per gate (lists),
-    each z_m carries a leading gate axis, (gates, N, ..., beta), and gate g
-    is scored by its own map. The bias adds the same value to every level's
-    score, which the softmax ignores, so its gradient is exactly zero.
+    Each z_m is node-major behind a gate axis, (G, N, ..., beta), and gate g
+    is scored by its own map: `ws[g]` is (N*beta) x 1 and `bs[g]` is (1,).
+    Per gate and sample, level m is scored by the linear map
+    w_g . vec(z_m[g]) + b_g, the scores are normalized by a softmax over
+    levels, and the output is the weighted sum of the z_m. The bias adds
+    the same value to every level's score, which the softmax ignores, so
+    its gradient is exactly zero.
     """
     zs = [_as_tensor(z) for z in zs]
-    gated = isinstance(w, (list, tuple))
-    ws = [_as_tensor(x) for x in (w if gated else [w])]
-    bs = [_as_tensor(x) for x in (b if gated else [b])]
+    ws = [_as_tensor(x) for x in ws]
+    bs = [_as_tensor(x) for x in bs]
     if not zs:
         raise ShapeError("no level outputs to attend over")
     shape = zs[0].shape
     if any(z.shape != shape for z in zs):
         raise ShapeError(f"level outputs disagree in shape: {[z.shape for z in zs]}")
-    axis = 1 if gated else 0
-    if len(shape) < axis + 2 or (gated and shape[0] != len(ws)) or len(bs) != len(ws):
+    if len(shape) < 3 or shape[0] != len(ws) or len(bs) != len(ws):
         raise ShapeError(f"level outputs {shape} do not fit {len(ws)} scoring maps")
-    n, beta = shape[axis], shape[-1]
+    n, beta = shape[1], shape[-1]
     if any(x.shape != (n * beta, 1) for x in ws) or any(x.shape != (1,) for x in bs):
         raise ShapeError(f"scoring maps {[x.shape for x in ws]} do not fit outputs {shape}")
     gates = len(ws)
@@ -471,12 +429,6 @@ def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,))
 
 
 def sqrt(a: Tensor) -> Tensor:

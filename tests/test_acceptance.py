@@ -126,7 +126,7 @@ def test_criterion_2_low_rank_propagation_equivalence():
         layer = init_layers(f_in, f_out, 1, k_hops, rng)[0]
         for theta_t, theta in zip(layer.thetas, thetas):
             theta_t.data = theta
-        got = propagate_layer(Tensor(z), Tensor(e1), Tensor(e2), layer).data
+        got = propagate_layer(Tensor(z[None]), Tensor(e1), Tensor(e2), [layer]).data[0]
         want = dense_diffusion(z, e1, e2, thetas)
         scale = max(np.abs(want).max(), 1.0)
         worst = max(worst, np.abs(got - want).max() / scale)
@@ -227,12 +227,11 @@ def test_criterion_4_structural_invariants():
     from ccrnn.cgc import CgcStack
 
     stack = CgcStack(
-        structure=structure,
         layers=init_layers(d_in, beta, m_layers, k_hops, rng),
         aggregation=init_aggregation(n, beta),
     )
     want_stack = (k_hops + 1) * (d_in * beta + (m_layers - 1) * beta * beta) + n * beta + 1
-    got_stack = count_parameters(stack_named_parameters(stack, "g", include_structure=False))
+    got_stack = count_parameters(stack_named_parameters(stack, "g"))
     if got_stack != want_stack:
         failures.append(f"filter/aggregation census {got_stack} != {want_stack}")
 

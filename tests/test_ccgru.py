@@ -69,9 +69,9 @@ class TestCcgruStep:
         cell.b_u.data += rng.standard_normal(3) * 0.3
         cell.b_c.data += rng.standard_normal(3) * 0.3
 
-        x = Tensor(rng.standard_normal((4, 2)))
-        h = Tensor(rng.standard_normal((4, 3)))
-        got = ccgru_step(x, h, cell)
+        x = Tensor(rng.standard_normal((1, 4, 2)))
+        h = Tensor(rng.standard_normal((1, 4, 3)))
+        got = ccgru_step(x, h, cell, cell.layer_factors())
 
         e1 = cell.structure.base.e1.data
         e2 = cell.structure.base.e2.data
@@ -79,30 +79,35 @@ class TestCcgruStep:
         def gate(stack, z):
             return dense_diffusion(z, e1, e2, [t.data for t in stack.layers[0].thetas])
 
-        xh = np.concatenate([x.data, h.data], axis=-1)
+        x0, h0 = x.data[0], h.data[0]
+        xh = np.concatenate([x0, h0], axis=-1)
         r = sigmoid(gate(cell.reset, xh) + cell.b_r.data)
         u = sigmoid(gate(cell.update, xh) + cell.b_u.data)
-        xc = np.concatenate([x.data, r * h.data], axis=-1)
+        xc = np.concatenate([x0, r * h0], axis=-1)
         c = np.tanh(gate(cell.candidate, xc) + cell.b_c.data)
-        want = u * h.data + (1.0 - u) * c
-        np.testing.assert_allclose(got.data, want, atol=1e-10)
+        want = u * h0 + (1.0 - u) * c
+        assert got.shape == (1, 4, 3)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-10)
 
     def test_station_mismatch_raises(self):
         rng = np.random.default_rng(72)
         cell, _ = tiny_cell(rng)
         with pytest.raises(ShapeError):
             ccgru_step(
-                Tensor(rng.standard_normal((5, 2))),
-                Tensor(rng.standard_normal((4, 3))),
+                Tensor(rng.standard_normal((1, 5, 2))),
+                Tensor(rng.standard_normal((1, 4, 3))),
                 cell,
+                cell.layer_factors(),
             )
 
     def test_zero_input_zero_state_stays_zero(self):
         """With zero biases the cell has an exact fixed point at the origin."""
         rng = np.random.default_rng(73)
         cell, _ = tiny_cell(rng)
-        h = ccgru_step(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), cell)
-        np.testing.assert_array_equal(h.data, np.zeros((4, 3)))
+        h = ccgru_step(
+            Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 4, 3))), cell, cell.layer_factors()
+        )
+        np.testing.assert_array_equal(h.data, np.zeros((1, 4, 3)))
 
 
 class TestEncodeDecode:
@@ -110,10 +115,11 @@ class TestEncodeDecode:
         rng = np.random.default_rng(81)
         cell, _ = tiny_cell(rng)
         window = rng.standard_normal((5, 4, 2))
-        got = encode(window, cell)
-        h = Tensor(np.zeros((4, 3)))
+        factors = cell.layer_factors()
+        got = encode(window, cell, factors)
+        h = Tensor(np.zeros((1, 4, 3)))
         for t in range(5):
-            h = ccgru_step(Tensor(window[t]), h, cell)
+            h = ccgru_step(Tensor(window[t][None]), h, cell, factors)
         np.testing.assert_allclose(got.data, h.data, atol=1e-12)
 
     def test_decoder_feeds_back_own_projection(self):
@@ -123,16 +129,17 @@ class TestEncodeDecode:
             w=Tensor(rng.standard_normal((3, 2)), requires_grad=True),
             b=Tensor(rng.standard_normal(2), requires_grad=True),
         )
-        h0 = Tensor(rng.standard_normal((4, 3)))
-        got = decode(h0, 3, cell, proj)
+        h0 = Tensor(rng.standard_normal((1, 4, 3)))
+        factors = cell.layer_factors()
+        got = decode(h0, 3, cell, proj, factors)
 
         h = h0
-        y = Tensor(np.zeros((4, 2)))  # GO frame
+        y = Tensor(np.zeros((1, 4, 2)))  # GO frame
         frames = []
         for _ in range(3):
-            h = ccgru_step(y, h, cell)
+            h = ccgru_step(y, h, cell, factors)
             y = Tensor(h.data @ proj.w.data + proj.b.data)
-            frames.append(y.data)
+            frames.append(y.data[0])
         np.testing.assert_allclose(got.data, np.stack(frames), atol=1e-10)
 
     def test_full_teacher_forcing_feeds_targets(self):
@@ -142,10 +149,11 @@ class TestEncodeDecode:
             w=Tensor(rng.standard_normal((3, 2)), requires_grad=True),
             b=Tensor(rng.standard_normal(2), requires_grad=True),
         )
-        h0 = Tensor(rng.standard_normal((4, 3)))
+        h0 = Tensor(rng.standard_normal((1, 4, 3)))
         targets = rng.standard_normal((3, 4, 2))
+        factors = cell.layer_factors()
         got = decode(
-            h0, 3, cell, proj, targets=targets, teacher_prob=1.0,
+            h0, 3, cell, proj, factors, targets=targets, teacher_prob=1.0,
             rng=np.random.default_rng(0),
         )
 
@@ -153,8 +161,8 @@ class TestEncodeDecode:
         y = np.zeros((4, 2))
         frames = []
         for q in range(3):
-            h = ccgru_step(Tensor(y), h, cell)
-            frames.append(h.data @ proj.w.data + proj.b.data)
+            h = ccgru_step(Tensor(y[None]), h, cell, factors)
+            frames.append(h.data[0] @ proj.w.data + proj.b.data)
             y = targets[q]
         np.testing.assert_allclose(got.data, np.stack(frames), atol=1e-10)
 
@@ -165,11 +173,12 @@ class TestEncodeDecode:
             w=Tensor(np.zeros((3, 2)), requires_grad=True),
             b=Tensor(np.zeros(2), requires_grad=True),
         )
-        h0 = Tensor(np.zeros((4, 3)))
+        h0 = Tensor(np.zeros((1, 4, 3)))
+        factors = cell.layer_factors()
         with pytest.raises(ValueError):
-            decode(h0, 2, cell, proj, teacher_prob=0.5)
+            decode(h0, 2, cell, proj, factors, teacher_prob=0.5)
         with pytest.raises(ValueError):
-            decode(h0, 2, cell, proj, targets=np.zeros((2, 4, 2)), teacher_prob=0.5)
+            decode(h0, 2, cell, proj, factors, targets=np.zeros((2, 4, 2)), teacher_prob=0.5)
 
     def test_nonpositive_horizon_rejected(self):
         rng = np.random.default_rng(85)
@@ -179,7 +188,7 @@ class TestEncodeDecode:
             b=Tensor(np.zeros(2), requires_grad=True),
         )
         with pytest.raises(ValueError):
-            decode(Tensor(np.zeros((4, 3))), 0, cell, proj)
+            decode(Tensor(np.zeros((1, 4, 3))), 0, cell, proj, cell.layer_factors())
 
 
 class TestSeq2Seq:
@@ -345,7 +354,6 @@ class TestParameterRegistry:
         )
         model = build_seq2seq(1, 3, 2, 1, base, rng)
         enc = model.encoder
-        assert enc.reset.structure is enc.update.structure is enc.candidate.structure
         assert enc.structure is not model.decoder.structure
         # Encoder and decoder start from the same values but train separately.
         np.testing.assert_array_equal(

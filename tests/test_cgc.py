@@ -50,6 +50,11 @@ def make_layer(rng, dim_in, beta, k):
     )
 
 
+def one_gate(zs):
+    """Level outputs (N, ..., beta) as a one-gate stack's (1, N, ..., beta)."""
+    return [Tensor(z.data[None]) for z in zs]
+
+
 def make_pair(rng, n, rank):
     return FactorPair(
         e1=Tensor(rng.standard_normal((n, rank)), requires_grad=True),
@@ -63,38 +68,38 @@ class TestPropagateLayer:
         n, rank, dim_in, beta, k = 9, 3, 4, 5, 3
         pair = make_pair(rng, n, rank)
         layer = make_layer(rng, dim_in, beta, k)
-        z = Tensor(rng.standard_normal((n, dim_in)))
+        z = Tensor(rng.standard_normal((1, n, dim_in)))
 
-        got = propagate_layer(z, pair.e1, pair.e2, layer)
+        got = propagate_layer(z, pair.e1, pair.e2, [layer])
         want = dense_diffusion(
-            z.data, pair.e1.data, pair.e2.data, [t.data for t in layer.thetas]
+            z.data[0], pair.e1.data, pair.e2.data, [t.data for t in layer.thetas]
         )
-        np.testing.assert_allclose(got.data, want, atol=1e-9)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-9)
 
     def test_k_zero_is_pure_linear_map(self):
         rng = np.random.default_rng(12)
         pair = make_pair(rng, 6, 2)
         layer = make_layer(rng, 3, 4, 0)
-        z = Tensor(rng.standard_normal((6, 3)))
-        got = propagate_layer(z, pair.e1, pair.e2, layer)
+        z = Tensor(rng.standard_normal((1, 6, 3)))
+        got = propagate_layer(z, pair.e1, pair.e2, [layer])
         np.testing.assert_allclose(got.data, z.data @ layer.thetas[0].data, atol=1e-12)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(13)
         pair = make_pair(rng, 7, 3)
         layer = make_layer(rng, 2, 4, 2)
-        zb = rng.standard_normal((7, 5, 2))  # node-major: stations, batch, features
-        got = propagate_layer(Tensor(zb), pair.e1, pair.e2, layer)
+        zb = rng.standard_normal((1, 7, 5, 2))  # node-major: gate, stations, batch, features
+        got = propagate_layer(Tensor(zb), pair.e1, pair.e2, [layer])
         for b in range(5):
-            single = propagate_layer(Tensor(zb[:, b]), pair.e1, pair.e2, layer)
-            np.testing.assert_allclose(got.data[:, b], single.data, atol=1e-12)
+            single = propagate_layer(Tensor(zb[:, :, b]), pair.e1, pair.e2, [layer])
+            np.testing.assert_allclose(got.data[:, :, b], single.data, atol=1e-12)
 
     def test_signal_width_mismatch_raises(self):
         rng = np.random.default_rng(14)
         pair = make_pair(rng, 5, 2)
         layer = make_layer(rng, 3, 4, 1)
         with pytest.raises(ShapeError):
-            propagate_layer(Tensor(rng.standard_normal((5, 7))), pair.e1, pair.e2, layer)
+            propagate_layer(Tensor(rng.standard_normal((1, 5, 7))), pair.e1, pair.e2, [layer])
 
 
 class TestCoupling:
@@ -141,19 +146,19 @@ class TestCgcForward:
         layers = [make_layer(rng, dim_in, beta, k)] + [
             make_layer(rng, beta, beta, k) for _ in range(2)
         ]
-        stack = CgcStack(structure, layers, init_aggregation(n, beta))
-        x = Tensor(rng.standard_normal((n, dim_in)))
+        stack = CgcStack(layers, init_aggregation(n, beta))
+        x = Tensor(rng.standard_normal((1, n, dim_in)))
 
-        outs = cgc_forward(x, stack)
+        outs = cgc_forward(x, [stack], structure.layer_factors())
 
         e1, e2 = pair.e1.data, pair.e2.data
-        z = x.data
+        z = x.data[0]
         for m in range(3):
             if m > 0:
                 w, b = couplings[m - 1].w.data, couplings[m - 1].b.data
                 e1, e2 = e1 @ w + b, e2 @ w + b
             z = dense_diffusion(z, e1, e2, [t.data for t in layers[m].thetas])
-            np.testing.assert_allclose(outs[m].data, z, atol=1e-9)
+            np.testing.assert_allclose(outs[m].data[0], z, atol=1e-9)
 
     def test_identity_couplings_reuse_base_adjacency(self):
         rng = np.random.default_rng(32)
@@ -162,26 +167,6 @@ class TestCgcForward:
         factors = structure.layer_factors()
         np.testing.assert_array_equal(factors[1][0].data, pair.e1.data)
         np.testing.assert_array_equal(factors[1][1].data, pair.e2.data)
-
-    def test_precomputed_factors_match_internal_derivation(self):
-        rng = np.random.default_rng(33)
-        pair = make_pair(rng, 5, 2)
-        structure = CoupledStructure(
-            pair,
-            [
-                CouplingParams(
-                    w=Tensor(rng.standard_normal((2, 2)), requires_grad=True),
-                    b=Tensor(rng.standard_normal(2), requires_grad=True),
-                )
-            ],
-        )
-        layers = [make_layer(rng, 3, 4, 1), make_layer(rng, 4, 4, 1)]
-        stack = CgcStack(structure, layers, init_aggregation(5, 4))
-        x = Tensor(rng.standard_normal((5, 3)))
-        a = cgc_forward(x, stack)
-        b = cgc_forward(x, stack, layer_factors=structure.layer_factors())
-        for za, zb in zip(a, b):
-            np.testing.assert_allclose(za.data, zb.data, atol=1e-12)
 
     def test_fused_stacks_match_separate_runs(self):
         """Two stacks over one structure run fused: a leading gate axis, layer 1
@@ -199,28 +184,26 @@ class TestCgcForward:
             ],
         )
         stacks = [
-            CgcStack(structure, init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
+            CgcStack(init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
             for _ in range(2)
         ]
-        x = Tensor(rng.standard_normal((n, 5, dim_in)))
-        fused = cgc_forward(x, stacks)
+        factors = structure.layer_factors()
+        x = Tensor(rng.standard_normal((1, n, 5, dim_in)))
+        fused = cgc_forward(x, stacks, factors)
         for g, stack in enumerate(stacks):
-            for z_fused, z_single in zip(fused, cgc_forward(x, stack)):
-                assert z_fused.shape == (2,) + z_single.shape
-                np.testing.assert_allclose(z_fused.data[g], z_single.data, atol=1e-12)
+            for z_fused, z_single in zip(fused, cgc_forward(x, [stack], factors)):
+                assert z_single.shape[0] == 1
+                assert z_fused.shape == (2,) + z_single.shape[1:]
+                np.testing.assert_allclose(z_fused.data[g], z_single.data[0], atol=1e-12)
 
     def test_factor_count_mismatch_raises(self):
         rng = np.random.default_rng(34)
         pair = make_pair(rng, 5, 2)
-        stack = CgcStack(
-            CoupledStructure(pair, []),
-            [make_layer(rng, 3, 4, 1)],
-            init_aggregation(5, 4),
-        )
+        stack = CgcStack([make_layer(rng, 3, 4, 1)], init_aggregation(5, 4))
         with pytest.raises(ShapeError):
             cgc_forward(
-                Tensor(rng.standard_normal((5, 3))),
-                stack,
+                Tensor(rng.standard_normal((1, 5, 3))),
+                [stack],
                 layer_factors=[(pair.e1, pair.e2), (pair.e1, pair.e2)],
             )
 
@@ -230,9 +213,9 @@ class TestAggregation:
         rng = np.random.default_rng(41)
         zs = [Tensor(rng.standard_normal((6, 4))) for _ in range(3)]
         agg = init_aggregation(6, 4)
-        out = aggregate_levels(zs, agg)
+        out = aggregate_levels(one_gate(zs), [agg])
         want = sum(z.data for z in zs) / 3.0
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], want, atol=1e-12)
         np.testing.assert_allclose(attention_weights(zs, agg), np.full((1, 3), 1 / 3))
 
     def test_weights_form_simplex_and_weight_the_sum(self):
@@ -246,21 +229,21 @@ class TestAggregation:
         assert alpha.shape == (1, 4)
         assert np.all(alpha > 0)
         np.testing.assert_allclose(alpha.sum(), 1.0, atol=1e-12)
-        out = aggregate_levels(zs, agg)
+        out = aggregate_levels(one_gate(zs), [agg])
         want = sum(a * z.data for a, z in zip(alpha[0], zs))
-        np.testing.assert_allclose(out.data, want, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], want, atol=1e-10)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(43)
-        zb = [rng.standard_normal((5, 3, 2)) for _ in range(2)]  # node-major
+        zb = [rng.standard_normal((1, 5, 3, 2)) for _ in range(2)]  # node-major
         agg = AggregationParams(
             w_alpha=Tensor(rng.standard_normal((10, 1)), requires_grad=True),
             b_alpha=Tensor(rng.standard_normal(1), requires_grad=True),
         )
-        got = aggregate_levels([Tensor(z) for z in zb], agg)
+        got = aggregate_levels([Tensor(z) for z in zb], [agg])
         for b in range(3):
-            single = aggregate_levels([Tensor(z[:, b]) for z in zb], agg)
-            np.testing.assert_allclose(got.data[:, b], single.data, atol=1e-12)
+            single = aggregate_levels([Tensor(z[:, :, b]) for z in zb], [agg])
+            np.testing.assert_allclose(got.data[:, :, b], single.data, atol=1e-12)
 
     def test_gated_matches_per_gate(self):
         rng = np.random.default_rng(44)
@@ -274,8 +257,8 @@ class TestAggregation:
         ]
         got = aggregate_levels(zs, aggs)
         for g, agg in enumerate(aggs):
-            single = aggregate_levels([Tensor(z.data[g]) for z in zs], agg)
-            np.testing.assert_allclose(got.data[g], single.data, atol=1e-12)
+            single = aggregate_levels([Tensor(z.data[g : g + 1]) for z in zs], [agg])
+            np.testing.assert_allclose(got.data[g], single.data[0], atol=1e-12)
 
     def test_attention_weights_read_batch_major_outputs(self):
         rng = np.random.default_rng(45)
@@ -292,13 +275,13 @@ class TestAggregation:
     def test_shape_disagreement_raises(self):
         with pytest.raises(ShapeError):
             aggregate_levels(
-                [Tensor(np.zeros((4, 2))), Tensor(np.zeros((5, 2)))],
-                init_aggregation(4, 2),
+                [Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 5, 2)))],
+                [init_aggregation(4, 2)],
             )
 
     def test_empty_list_raises(self):
         with pytest.raises(ShapeError):
-            aggregate_levels([], init_aggregation(4, 2))
+            aggregate_levels([], [init_aggregation(4, 2)])
 
 
 class TestParameterCensus:
@@ -335,17 +318,18 @@ class TestParameterCensus:
             make_pair(rng, n, rank),
             [CouplingParams.identity(rank) for _ in range(m - 1)],
         )
-        stack_a = CgcStack(structure, init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
-        stack_b = CgcStack(structure, init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
+        stack_a = CgcStack(init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
+        stack_b = CgcStack(init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
 
         filters = (k + 1) * (dim_in * beta + (m - 1) * beta * beta)
         agg = n * beta + 1
         graph = 2 * n * rank + (m - 1) * rank * (rank + 1)
         named_a = stack_named_parameters(stack_a, "a")
-        assert count_parameters(named_a) == graph + filters + agg
+        assert count_parameters(named_a) == filters + agg
 
-        # Two stacks sharing one structure: the graph is counted once.
-        both = dict(named_a)
+        # Two stacks over one structure: the graph is counted once.
+        both = structure.named_parameters("graph")
+        both.update(named_a)
         both.update(stack_named_parameters(stack_b, "b"))
         assert count_parameters(both) == graph + 2 * (filters + agg)
 
@@ -369,21 +353,20 @@ class TestGradients:
             make_pair(rng, n, rank),
             [CouplingParams.identity(rank) for _ in range(m - 1)],
         )
-        stack = CgcStack(
-            structure, init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta)
-        )
+        stack = CgcStack(init_layers(dim_in, beta, m, k, rng), init_aggregation(n, beta))
         # Zero-init aggregation has flat gradients in w_alpha only at the
         # symmetric point; nudge it so every parameter participates.
         stack.aggregation.w_alpha.data += rng.standard_normal((n * beta, 1)) * 0.1
         stack.aggregation.b_alpha.data += 0.05
 
-        x = Tensor(rng.standard_normal((n, dim_in)))
-        probe = Tensor(rng.standard_normal((n, beta)))
+        x = Tensor(rng.standard_normal((1, n, dim_in)))
+        probe = Tensor(rng.standard_normal((1, n, beta)))
 
         def forward():
-            out = aggregate_levels(cgc_forward(x, stack), stack.aggregation)
-            return tsum(mul(out, probe))
+            zs = cgc_forward(x, [stack], structure.layer_factors())
+            return tsum(mul(aggregate_levels(zs, [stack.aggregation]), probe))
 
-        params = stack_named_parameters(stack, "s")
+        params = structure.named_parameters("s.graph")
+        params.update(stack_named_parameters(stack, "s"))
         report = finite_difference_check(forward, params)
         assert report.passed, report.failures()

@@ -511,6 +511,19 @@ class TestCliErrors:
         assert main(["train", "--config", str(config_path)]) == 2
         assert "epochs" in capsys.readouterr().err
 
+    def test_rect_without_coordinate_columns_exits_2(self, tmp_path, capsys):
+        no_coords = dict.fromkeys(
+            ("pickup_lon_col", "pickup_lat_col", "dropoff_lon_col", "dropoff_lat_col")
+        )
+        config_path, _ = write_config(tmp_path, rect=[0.0, 0.0, 1.0, 1.0], **no_coords)
+        assert main(["ingest", "--config", str(config_path)]) == 2
+        assert "coordinate columns" in capsys.readouterr().err
+
+    def test_inverted_rect_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path, rect=[1.0, 0.0, 0.0, 1.0])
+        assert main(["ingest", "--config", str(config_path)]) == 2
+        assert "rect" in capsys.readouterr().err
+
     def test_missing_artifacts_exit_1(self, tmp_path):
         config_path, _ = write_config(tmp_path)
         assert main(["train", "--config", str(config_path)]) == 1

@@ -167,17 +167,17 @@ class TestFactorizeAdjacency:
         rng = np.random.default_rng(12)
         a = normalize_random_walk(gaussian_adjacency(rng.standard_normal((5, 3))))
         pair = factorize_adjacency(a, 5)
-        np.testing.assert_allclose(pair.implied_adjacency(), a, atol=1e-8)
+        np.testing.assert_allclose(pair.e1.data @ pair.e2.data.T, a, atol=1e-8)
 
     def test_rank_one_input_exact_at_rank_one(self):
         a = np.outer([1.0, 2.0, 3.0], [0.2, 0.5, 0.3])
         pair = factorize_adjacency(a, 1)
-        np.testing.assert_allclose(pair.implied_adjacency(), a, atol=1e-9)
+        np.testing.assert_allclose(pair.e1.data @ pair.e2.data.T, a, atol=1e-9)
 
     def test_parameter_reduction_arithmetic(self):
         pair = factorize_adjacency(np.eye(266), 50)
         assert pair.e1.size + pair.e2.size == 26_600  # 2NL factored entries
-        assert pair.implied_adjacency().size == 70_756  # N^2 dense entries
+        assert (pair.e1.data @ pair.e2.data.T).size == 70_756  # N^2 dense entries
 
     def test_factors_marked_trainable(self):
         rng = np.random.default_rng(13)
@@ -194,7 +194,7 @@ class TestFactorizeAdjacency:
         m = rng.uniform(0.0, 1.0, size=(8, 8))
         a = normalize_random_walk(m)
         pair = factorize_adjacency(a, 3)
-        best = np.linalg.norm(a - pair.implied_adjacency())
+        best = np.linalg.norm(a - pair.e1.data @ pair.e2.data.T)
         for _ in range(50):
             e1 = rng.standard_normal((8, 3))
             e2 = rng.standard_normal((8, 3))

@@ -281,7 +281,7 @@ class TestTapeSize:
         step = 1 + fused + candidate + 2 + 4
         ops = (
             (p + q) * step - 1  # the first encoder step's [x, h] holds no gradient
-            + 3 * q + 1 + 1  # readout per decoder step, concat of the frames, transpose
+            + 2 * q + 1 + 1  # readout per decoder step, concat of the frames, transpose
             + 2 * 4 * (m - 1)  # coupled factors, derived once per cell
             + 5  # RMSE loss
         )
