@@ -10,6 +10,7 @@ from ccrnn.ccgru import (
     OutputProjection,
     Seq2Seq,
     build_cell,
+    build_model,
     build_seq2seq,
     ccgru_step,
     decode,
@@ -379,6 +380,28 @@ class TestParameterRegistry:
         )
         per_cell = (m - 1) * 2 * n * rank - (m - 1) * rank * (rank + 1)
         assert delta == 2 * per_cell
+
+    @pytest.mark.parametrize("variant", ["full", "no_coupling"])
+    def test_checkpoint_layout_is_pinned(self, variant):
+        """The checkpoint names, their order and shapes at N=3, L=2, M=2, K=1."""
+        base = FactorPair(e1=Tensor(np.ones((3, 2))), e2=Tensor(np.ones((3, 2))))
+        model = build_model(variant, base, 1, 2, 2, 1, np.random.default_rng(0))
+        if variant == "full":
+            graph = [("graph.e1", (3, 2)), ("graph.e2", (3, 2)),
+                     ("graph.coupling0.w", (2, 2)), ("graph.coupling0.b", (2,))]
+        else:
+            graph = [("graph.layer0.e1", (3, 2)), ("graph.layer0.e2", (3, 2)),
+                     ("graph.layer1.e1", (3, 2)), ("graph.layer1.e2", (3, 2))]
+        gate = [("layer0.theta0", (3, 2)), ("layer0.theta1", (3, 2)),
+                ("layer1.theta0", (2, 2)), ("layer1.theta1", (2, 2)),
+                ("agg.weight", (6, 1)), ("agg.bias", (1,))]
+        gates = ("reset", "update", "candidate")
+        cell = graph + [(f"{g}.{key}", shape) for g in gates for key, shape in gate]
+        cell += [(f"bias.{g}", (2,)) for g in gates]
+        want = [(f"{c}.{key}", shape) for c in ("encoder", "decoder") for key, shape in cell]
+        want += [("proj.weight", (2, 1)), ("proj.bias", (1,))]
+        got = [(key, t.shape) for key, t in model.named_parameters().items()]
+        assert got == want
 
 
 class TestSamplingSchedule:
