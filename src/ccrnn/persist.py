@@ -9,6 +9,7 @@ previous file in place; the readers raise only `FormatError` on bad bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -199,6 +200,7 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     ckpt = Checkpoint()
     section = None
     station_lines: list[str] = []
+    end = 0  # the tensors tile the payload in manifest order
     for line in manifest:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
@@ -220,6 +222,11 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
             name, shape_s, offset_s, nbytes_s = line.split(" ")
             shape = () if shape_s == "-" else tuple(int(s) for s in shape_s.split(","))
             offset, nbytes = int(offset_s), int(nbytes_s)
+            if offset != end:
+                raise FormatError(f"tensor {name!r} starts at byte {offset}, not {end}")
+            if nbytes != 8 * math.prod(shape):
+                raise FormatError(f"tensor {name!r} has {nbytes} bytes for shape {shape}")
+            end += nbytes
             arr = (
                 np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
                 .reshape(shape)
@@ -230,6 +237,8 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
             ckpt.tensors[name.removeprefix(TENSOR_PREFIX)] = arr
         else:
             raise FormatError(f"line {line!r} outside any known section")
+    if end != payload_size:
+        raise FormatError(f"tensors end at byte {end} of a {payload_size}-byte payload")
     if station_lines:
         ckpt.stations_csv = "\n".join(station_lines) + "\n"
     return ckpt

@@ -118,6 +118,31 @@ class TestCheckpoint:
         assert "v9" in str(err.value)
         assert CHECKPOINT_VERSION in str(err.value)
 
+    def corrupt(self, tmp_path, line, edited):
+        """A saved checkpoint with one manifest line replaced."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self.make())
+        raw = path.read_bytes()
+        assert raw.count(line) == 1
+        path.write_bytes(raw.replace(line, edited))
+        return path
+
+    def test_entry_must_start_where_the_previous_ends(self, tmp_path):
+        # proj.bias pointed back at the bytes of encoder.graph.e1
+        path = self.corrupt(tmp_path, b"param/proj.bias 2 80 16", b"param/proj.bias 2 0 16")
+        with pytest.raises(FormatError, match="starts at byte 0, not 80"):
+            load_checkpoint(path)
+
+    def test_entry_size_must_match_its_shape(self, tmp_path):
+        path = self.corrupt(tmp_path, b"param/proj.bias 2 80 16", b"param/proj.bias 2 80 23")
+        with pytest.raises(FormatError, match="has 23 bytes for shape"):
+            load_checkpoint(path)
+
+    def test_entries_must_cover_the_whole_payload(self, tmp_path):
+        path = self.corrupt(tmp_path, b"param/proj.bias 2 80 16", b"param/proj.bias 1 80 8")
+        with pytest.raises(FormatError, match="end at byte 88 of a 96-byte payload"):
+            load_checkpoint(path)
+
     def test_scalar_free_sections_optional(self, tmp_path):
         ckpt = Checkpoint(meta={"kind": "graph"}, tensors={"e1": np.ones((3, 2))})
         path = tmp_path / "graph.ckpt"
