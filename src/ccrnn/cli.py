@@ -123,7 +123,7 @@ def cmd_ingest(config: RunConfig, out: Path) -> int:
         docks = stations_from_records(records)
         stations = docks
         if config.keep_stations < docks.n:
-            stations = select_top_stations(records, docks, config.keep_stations)
+            stations = select_top_stations(docks, config.keep_stations)
     else:
         stations = virtual_stations(
             records,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -298,10 +298,8 @@ def stations_from_records(records: list[TripRecord]) -> StationSet:
     return StationSet(stations, "dock_based", labels=labels)
 
 
-def select_top_stations(
-    records: list[TripRecord], docks: StationSet, keep: int
-) -> StationSet:
-    """Keep the busiest docks, re-indexed by descending order count.
+def select_top_stations(docks: StationSet, keep: int) -> StationSet:
+    """Keep the busiest docks, re-indexed by descending member count.
 
     Ties break toward the lower original id, so selection is deterministic.
     """
@@ -309,22 +307,8 @@ def select_top_stations(
         raise ValueError(f"cannot keep {keep} of {docks.n} docks")
     if docks.labels is None:
         raise ValueError("dock set carries no source labels")
-    index = {lb: i for i, lb in enumerate(docks.labels)}
-    counts = np.zeros(docks.n, dtype=np.int64)
-    for rec in records:
-        for label in (rec.pickup_loc, rec.dropoff_loc):
-            if isinstance(label, str) and label in index:
-                counts[index[label]] += 1
-    order = sorted(range(docks.n), key=lambda i: (-counts[i], i))[:keep]
-    stations = [
-        Station(
-            id=new_id,
-            lon=docks.stations[old].lon,
-            lat=docks.stations[old].lat,
-            member_count=int(counts[old]),
-        )
-        for new_id, old in enumerate(order)
-    ]
+    order = sorted(range(docks.n), key=lambda i: (-docks.stations[i].member_count, i))[:keep]
+    stations = [replace(docks.stations[old], id=new_id) for new_id, old in enumerate(order)]
     return StationSet(stations, "dock_based", labels=[docks.labels[old] for old in order])
 
 

@@ -246,29 +246,20 @@ class TestStations:
         assert docks.stations[0].lon == pytest.approx(-73.99)
 
     def test_select_top_reorders_by_count(self):
-        counts = [5, 9, 1]
         stations = [
-            Station(id=i, lon=float(i), lat=0.0, member_count=0) for i in range(3)
+            Station(id=i, lon=float(i), lat=0.0, member_count=c) for i, c in enumerate([5, 9, 1])
         ]
         docks = StationSet(stations, "dock_based", labels=["a", "b", "c"])
-        t0 = datetime(2016, 4, 1)
-        records = []
-        for dock, cnt in zip("abc", counts):
-            # Each record contributes one pickup at the dock (dropoff elsewhere
-            # at a dock outside the set, so it is not double counted).
-            for k in range(cnt):
-                records.append(
-                    TripRecord(t0, t0, dock, "zz", (float("abc".index(dock)), 0.0), (9.0, 9.0))
-                )
-        top = select_top_stations(records, docks, 2)
+        top = select_top_stations(docks, 2)
         assert top.labels == ["b", "a"]
         assert [s.member_count for s in top.stations] == [9, 5]
         assert [s.id for s in top.stations] == [0, 1]
+        assert [s.lon for s in top.stations] == [1.0, 0.0]
 
     def test_select_all_is_identity_order_for_equal_counts(self):
-        stations = [Station(id=i, lon=float(i), lat=0.0, member_count=0) for i in range(3)]
+        stations = [Station(id=i, lon=float(i), lat=0.0, member_count=4) for i in range(3)]
         docks = StationSet(stations, "dock_based", labels=["x", "y", "z"])
-        top = select_top_stations([], docks, 3)
+        top = select_top_stations(docks, 3)
         assert top.labels == ["x", "y", "z"]
 
     def test_keep_exceeding_docks_rejected(self):
@@ -276,7 +267,7 @@ class TestStations:
             [Station(0, 0.0, 0.0, 1)], "dock_based", labels=["only"]
         )
         with pytest.raises(ValueError):
-            select_top_stations([], docks, 2)
+            select_top_stations(docks, 2)
 
     def test_station_set_invariants(self):
         with pytest.raises(ValueError, match="0..1"):
