@@ -19,13 +19,6 @@ import numpy as np
 class DpcResult:
     centroids: np.ndarray  # (k, 2) member means, cluster order by descending rho*delta
     labels: np.ndarray  # (n,) cluster index per point
-    centers: np.ndarray  # (k,) input indices of the chosen center points
-    rho: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.centers)
 
 
 def dpc_cluster(points, num_clusters: int, dc_quantile: float = 0.02) -> DpcResult:
@@ -83,4 +76,4 @@ def dpc_cluster(points, num_clusters: int, dc_quantile: float = 0.02) -> DpcResu
             labels[i] = labels[parent[i]]
 
     centroids = np.stack([pts[labels == k].mean(axis=0) for k in range(num_clusters)])
-    return DpcResult(centroids=centroids, labels=labels, centers=centers, rho=rho, delta=delta)
+    return DpcResult(centroids=centroids, labels=labels)

@@ -14,7 +14,7 @@ treated as batch dimensions and broadcast the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -517,10 +517,6 @@ class GradCheckEntry:
     name: str
     max_rel_error: float
     worst_index: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.max_rel_error)
 
 
 @dataclass
