@@ -1,12 +1,16 @@
 """Graph-convolutional GRU cells and the seq2seq forecaster built from them.
 
 Every gate of the GRU replaces its dense matmul with a coupled graph
-convolution stack. The three gate stacks of one cell share a single graph
+convolution stack. The three gates of one cell share a single graph
 structure (base embedding pair plus couplings), which the cell owns; each
-gate keeps its own filter and aggregation weights. Every gate runs through
-the same call (after DCRNN's DCGRUCell): the reset and update gates convolve
-the same [x, h] as one two-gate stack, one diffusion per layer for both and
-one attention op, and the candidate runs as a one-gate stack.
+gate keeps its own filters, attention scorer and bias. `build_cell` creates
+every tensor of a cell once, under its checkpoint name, in the cell's
+`params` registry, which is what `Seq2Seq.named_parameters` returns.
+
+Every gate runs through the same call (after DCRNN's DCGRUCell): the reset
+and update gates convolve the same [x, h] as one two-gate stack, one
+diffusion per layer for both and one attention op, and the candidate runs
+as a one-gate stack.
 
 The recurrence is node-major behind the gate axis of a one-gate stack:
 inputs are (1, N, ..., d) and the state is (1, N, ..., beta), stations next
@@ -27,73 +31,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgc import (
-    CgcStack,
-    CoupledStructure,
-    CouplingParams,
-    IndependentStructure,
-    aggregate_levels,
-    cgc_forward,
-    glorot,
-    init_aggregation,
-    init_layers,
-    stack_named_parameters,
-)
+from .cgc import Gate, aggregate_levels, cgc_forward, layer_factors
 from .graphgen import FactorPair
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    concat,
-    matmul,
-    mul,
-    sigmoid,
-    sub,
-    take,
-    tanh,
-    transpose,
-)
+from .tensor import ShapeError, Tensor, add, concat, matmul, mul, sigmoid, sub, take, tanh, transpose
 
 
 @dataclass
 class CcgruCell:
-    """One recurrent cell: shared graph structure, three gate stacks, gate biases."""
+    """One recurrent cell: a graph structure shared by three gates.
 
-    structure: CoupledStructure | IndependentStructure
-    reset: CgcStack
-    update: CgcStack
-    candidate: CgcStack
-    b_r: Tensor
-    b_u: Tensor
-    b_c: Tensor
+    `pairs` holds the directly trained embedding pairs, which `couplings`
+    (w, b) carry from layer to layer; `params` maps each checkpoint name to
+    its tensor, in checkpoint order.
+    """
+
+    pairs: list[tuple[Tensor, Tensor]]
+    couplings: list[tuple[Tensor, Tensor]]
+    reset: Gate
+    update: Gate
+    candidate: Gate
+    params: dict[str, Tensor]
 
     @property
     def hidden_size(self) -> int:
-        return self.b_r.shape[0]
+        return self.reset.bias.shape[0]
 
-    def layer_factors(self):
-        return self.structure.layer_factors()
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = self.structure.named_parameters(f"{prefix}.graph")
-        for gate, stack in (
-            ("reset", self.reset),
-            ("update", self.update),
-            ("candidate", self.candidate),
-        ):
-            out.update(stack_named_parameters(stack, f"{prefix}.{gate}"))
-        out[f"{prefix}.bias.reset"] = self.b_r
-        out[f"{prefix}.bias.update"] = self.b_u
-        out[f"{prefix}.bias.candidate"] = self.b_c
-        return out
+    def layer_factors(self) -> list[tuple[Tensor, Tensor]]:
+        return layer_factors(self.pairs, self.couplings)
 
 
-@dataclass
-class OutputProjection:
-    """Linear readout from hidden state to demand channels."""
-
-    w: Tensor  # beta x d
-    b: Tensor  # d
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def _array(x) -> np.ndarray:
@@ -115,12 +84,12 @@ def ccgru_step(x: Tensor, h: Tensor, cell: CcgruCell, factors) -> Tensor:
     # a gradient-free step then took about 70% more page faults.
     xh = concat([x, h], axis=-1)
     gates = [cell.reset, cell.update]
-    ru = aggregate_levels(cgc_forward(xh, gates, factors), [g.aggregation for g in gates])
-    r = sigmoid(add(take(ru, 0), cell.b_r))
-    u = sigmoid(add(take(ru, 1), cell.b_u))
+    ru = aggregate_levels(cgc_forward(xh, gates, factors), gates)
+    r = sigmoid(add(take(ru, 0), cell.reset.bias))
+    u = sigmoid(add(take(ru, 1), cell.update.bias))
     xc = concat([x, mul(r, h)], axis=-1)
-    cand = cell.candidate
-    c = tanh(add(aggregate_levels(cgc_forward(xc, [cand], factors), [cand.aggregation]), cell.b_c))
+    cand = [cell.candidate]
+    c = tanh(add(aggregate_levels(cgc_forward(xc, cand, factors), cand), cell.candidate.bias))
     return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
 
 
@@ -142,7 +111,7 @@ def decode(
     h: Tensor,
     horizon: int,
     cell: CcgruCell,
-    projection: OutputProjection,
+    projection: tuple[Tensor, Tensor],
     factors,
     targets=None,
     teacher_prob: float = 0.0,
@@ -150,11 +119,12 @@ def decode(
 ) -> Tensor:
     """Roll the decoder `horizon` steps from a zero GO frame.
 
-    `h` is (1, N, ..., beta), `targets` (Q, N, ..., d), and the forecast is
-    (Q, N, ..., d). At each step after the first, the input is the previous
-    target frame with probability `teacher_prob` (one draw per step),
-    otherwise the previous projection. Fed-back projections stay in the
-    autodiff graph. Everything here lives in standardized space.
+    `h` is (1, N, ..., beta), `projection` the readout (w: beta x d, b: d),
+    `targets` (Q, N, ..., d), and the forecast is (Q, N, ..., d). At each
+    step after the first, the input is the previous target frame with
+    probability `teacher_prob` (one draw per step), otherwise the previous
+    projection. Fed-back projections stay in the autodiff graph. Everything
+    here lives in standardized space.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -162,14 +132,14 @@ def decode(
         raise ValueError("teacher forcing requested without targets")
     if teacher_prob > 0.0 and rng is None:
         raise ValueError("teacher forcing requires an rng for the per-step draws")
-    d = projection.w.shape[1]
+    w, b = projection
     tgt = None if targets is None else _array(targets)
 
-    y_prev = Tensor(np.zeros(h.shape[:-1] + (d,)))
+    y_prev = Tensor(np.zeros(h.shape[:-1] + (w.shape[1],)))
     frames: list[Tensor] = []
     for q in range(horizon):
         h = ccgru_step(y_prev, h, cell, factors)
-        y = add(matmul(h, projection.w), projection.b)
+        y = add(matmul(h, w), b)
         frames.append(y)
         if q + 1 < horizon:
             if tgt is not None and teacher_prob > 0.0 and rng.random() < teacher_prob:
@@ -200,7 +170,7 @@ class Seq2Seq:
 
     encoder: CcgruCell
     decoder: CcgruCell
-    projection: OutputProjection
+    projection: tuple[Tensor, Tensor]  # w: beta x d, b: d
 
     def forward(
         self,
@@ -244,19 +214,8 @@ class Seq2Seq:
         return transpose(out, tuple(range(2, 2 + batch_axes)) + (0, 1, 2 + batch_axes))
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = self.encoder.named_parameters("encoder")
-        out.update(self.decoder.named_parameters("decoder"))
-        out["proj.weight"] = self.projection.w
-        out["proj.bias"] = self.projection.b
-        return out
-
-
-def _fresh_pair(base: FactorPair, name: str) -> FactorPair:
-    trainable = base.trainable
-    return FactorPair(
-        e1=Tensor(base.e1.data.copy(), requires_grad=trainable, name=f"{name}.e1"),
-        e2=Tensor(base.e2.data.copy(), requires_grad=trainable, name=f"{name}.e2"),
-    )
+        w, b = self.projection
+        return {**self.encoder.params, **self.decoder.params, "proj.weight": w, "proj.bias": b}
 
 
 def build_cell(
@@ -273,35 +232,48 @@ def build_cell(
 
     With coupling, layer 1 owns the only embeddings and identity-initialized
     affine maps derive the rest; without it, every layer gets an independent
-    copy of the base pair.
+    copy of the base pair. Every tensor is created here under its checkpoint
+    name, in checkpoint order, and the filters draw from `rng` gate by gate.
     """
-    n = base.e1.shape[0]
-    rank = base.rank
+    n, rank = base.e1.shape
+    params: dict[str, Tensor] = {}
+
+    def new(key: str, data: np.ndarray, trainable: bool = True) -> Tensor:
+        key = f"{name}.{key}"
+        params[key] = Tensor(data, requires_grad=trainable, name=key)
+        return params[key]
+
+    def pair(key: str) -> tuple[Tensor, Tensor]:
+        return (
+            new(f"{key}.e1", base.e1.data.copy(), base.trainable),
+            new(f"{key}.e2", base.e2.data.copy(), base.trainable),
+        )
+
     if coupled:
-        structure: CoupledStructure | IndependentStructure = CoupledStructure(
-            _fresh_pair(base, f"{name}.graph"),
-            [CouplingParams.identity(rank, f"{name}.coupling{m}") for m in range(m_layers - 1)],
-        )
+        pairs = [pair("graph")]
+        couplings = [
+            (new(f"graph.coupling{m}.w", np.eye(rank)), new(f"graph.coupling{m}.b", np.zeros(rank)))
+            for m in range(m_layers - 1)
+        ]
     else:
-        structure = IndependentStructure(
-            [_fresh_pair(base, f"{name}.graph{m}") for m in range(m_layers)]
-        )
-    gate_width = channels + beta
+        pairs = [pair(f"graph.layer{m}") for m in range(m_layers)]
+        couplings = []
 
-    def make_stack() -> CgcStack:
-        return CgcStack(
-            init_layers(gate_width, beta, m_layers, k_hops, rng), init_aggregation(n, beta)
-        )
+    def filters_and_scorer(g: str) -> tuple[list[list[Tensor]], Tensor, Tensor]:
+        widths = [channels + beta] + [beta] * (m_layers - 1)
+        thetas = [
+            [new(f"{g}.layer{m}.theta{i}", glorot(rng, width, beta)) for i in range(k_hops + 1)]
+            for m, width in enumerate(widths)
+        ]
+        score_w = new(f"{g}.agg.weight", np.zeros((n * beta, 1)))  # uniform attention at first
+        return thetas, score_w, new(f"{g}.agg.bias", np.zeros(1))
 
-    return CcgruCell(
-        structure=structure,
-        reset=make_stack(),
-        update=make_stack(),
-        candidate=make_stack(),
-        b_r=Tensor(np.zeros(beta), requires_grad=True, name=f"{name}.b_r"),
-        b_u=Tensor(np.zeros(beta), requires_grad=True, name=f"{name}.b_u"),
-        b_c=Tensor(np.zeros(beta), requires_grad=True, name=f"{name}.b_c"),
+    gates = ("reset", "update", "candidate")
+    weights = [filters_and_scorer(g) for g in gates]  # the biases come after all of them
+    reset, update, candidate = (
+        Gate(*w, new(f"bias.{g}", np.zeros(beta))) for g, w in zip(gates, weights)
     )
+    return CcgruCell(pairs, couplings, reset, update, candidate, params)
 
 
 def build_seq2seq(
@@ -316,9 +288,9 @@ def build_seq2seq(
     """Encoder and decoder cells initialized from the same base pair, plus readout."""
     encoder = build_cell(channels, beta, m_layers, k_hops, base, coupled, rng, "encoder")
     decoder = build_cell(channels, beta, m_layers, k_hops, base, coupled, rng, "decoder")
-    projection = OutputProjection(
-        w=Tensor(glorot(rng, beta, channels), requires_grad=True, name="proj.w"),
-        b=Tensor(np.zeros(channels), requires_grad=True, name="proj.b"),
+    projection = (
+        Tensor(glorot(rng, beta, channels), requires_grad=True, name="proj.weight"),
+        Tensor(np.zeros(channels), requires_grad=True, name="proj.bias"),
     )
     return Seq2Seq(encoder=encoder, decoder=decoder, projection=projection)
 

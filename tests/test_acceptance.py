@@ -11,25 +11,12 @@ import time
 from datetime import datetime, timedelta
 
 import numpy as np
-import pytest
 
-from ccrnn.ccgru import build_seq2seq
-from ccrnn.cgc import (
-    CouplingParams,
-    CoupledStructure,
-    aggregate_levels,
-    attention_weights,
-    cgc_forward,
-    count_parameters,
-    init_aggregation,
-    init_layers,
-    propagate_layer,
-    stack_named_parameters,
-)
+from ccrnn.ccgru import build_cell, build_seq2seq
+from ccrnn.cgc import Gate, attention_weights, count_parameters, propagate_layer
 from ccrnn.cli import main
 from ccrnn.dpc import dpc_cluster
 from ccrnn.graphgen import (
-    FactorPair,
     factorize_adjacency,
     gaussian_adjacency,
     normalize_random_walk,
@@ -123,10 +110,8 @@ def test_criterion_2_low_rank_propagation_equivalence():
         e2 = rng.standard_normal((n, rank))
         thetas = [rng.standard_normal((f_in, f_out)) for _ in range(k_hops + 1)]
 
-        layer = init_layers(f_in, f_out, 1, k_hops, rng)[0]
-        for theta_t, theta in zip(layer.thetas, thetas):
-            theta_t.data = theta
-        got = propagate_layer(Tensor(z[None]), Tensor(e1), Tensor(e2), [layer]).data[0]
+        gate_thetas = [Tensor(theta, requires_grad=True) for theta in thetas]
+        got = propagate_layer(Tensor(z[None]), Tensor(e1), Tensor(e2), [gate_thetas]).data[0]
         want = dense_diffusion(z, e1, e2, thetas)
         scale = max(np.abs(want).max(), 1.0)
         worst = max(worst, np.abs(got - want).max() / scale)
@@ -191,9 +176,8 @@ def test_criterion_4_structural_invariants():
 
     # attention: a point on the simplex
     zs = [Tensor(rng.standard_normal((3, 6, 4))) for _ in range(3)]
-    agg = init_aggregation(6, 4)
-    agg.w_alpha.data = rng.standard_normal(agg.w_alpha.shape)
-    alpha = attention_weights(zs, agg)
+    scorer = Gate([], Tensor(rng.standard_normal((6 * 4, 1))), Tensor(np.zeros(1)), Tensor(0.0))
+    alpha = attention_weights(zs, scorer)
     if np.abs(alpha.sum(axis=-1) - 1.0).max() >= 1e-10 or alpha.min() < 0.0:
         failures.append("attention weights leave the simplex")
 
@@ -206,34 +190,30 @@ def test_criterion_4_structural_invariants():
         failures.append("tanh left (-1,1)")
 
     # identity couplings: every layer sees the base factors at initialization
-    n, rank, m_layers = 7, 3, 3
+    n, rank, m_layers, d_in, beta, k_hops = 7, 3, 3, 2, 4, 2
     base = random_init(n, rank, rng)
-    structure = CoupledStructure(
-        base=base,
-        couplings=[CouplingParams.identity(rank, f"coupling{m}") for m in range(m_layers - 1)],
-    )
-    for e1, e2 in structure.layer_factors():
+    cell = build_cell(d_in, beta, m_layers, k_hops, base, True, rng, "cell")
+    for e1, e2 in cell.layer_factors():
         if not (np.array_equal(e1.data, base.e1.data) and np.array_equal(e2.data, base.e2.data)):
             failures.append("identity coupling moved the factors")
             break
 
-    # parameter census
+    # parameter census, by checkpoint name
+    def census(prefix):
+        return count_parameters({k: t for k, t in cell.params.items() if k.startswith(prefix)})
+
     want_structure = 2 * n * rank + (m_layers - 1) * rank * (rank + 1)
-    got_structure = count_parameters(structure.named_parameters("graph"))
+    got_structure = census("cell.graph.")
     if got_structure != want_structure:
         failures.append(f"structure census {got_structure} != {want_structure}")
 
-    d_in, beta, k_hops = 2, 4, 2
-    from ccrnn.cgc import CgcStack
-
-    stack = CgcStack(
-        layers=init_layers(d_in, beta, m_layers, k_hops, rng),
-        aggregation=init_aggregation(n, beta),
-    )
-    want_stack = (k_hops + 1) * (d_in * beta + (m_layers - 1) * beta * beta) + n * beta + 1
-    got_stack = count_parameters(stack_named_parameters(stack, "g"))
-    if got_stack != want_stack:
-        failures.append(f"filter/aggregation census {got_stack} != {want_stack}")
+    # a gate reads [x, h]: d_in + beta wide at layer 1
+    width = d_in + beta
+    want_gate = (k_hops + 1) * (width * beta + (m_layers - 1) * beta * beta) + n * beta + 1
+    for gate in ("reset", "update", "candidate"):
+        got_gate = census(f"cell.{gate}.")
+        if got_gate != want_gate:
+            failures.append(f"{gate} filter/aggregation census {got_gate} != {want_gate}")
 
     report(4, "structural invariants", not failures, "; ".join(failures) or "6 checks")
 

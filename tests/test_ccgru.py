@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from ccrnn.ccgru import (
-    CcgruCell,
-    OutputProjection,
-    Seq2Seq,
     build_cell,
     build_model,
     build_seq2seq,
@@ -17,7 +14,7 @@ from ccrnn.ccgru import (
     encode,
     sampling_probability,
 )
-from ccrnn.cgc import CoupledStructure, IndependentStructure, count_parameters
+from ccrnn.cgc import count_parameters
 from ccrnn.graphgen import FactorPair
 from ccrnn.tensor import (
     ShapeError,
@@ -66,26 +63,24 @@ class TestCcgruStep:
         rng = np.random.default_rng(71)
         cell, _ = tiny_cell(rng)
         # Non-trivial biases so the gates are exercised away from sigma(0).
-        cell.b_r.data += rng.standard_normal(3) * 0.3
-        cell.b_u.data += rng.standard_normal(3) * 0.3
-        cell.b_c.data += rng.standard_normal(3) * 0.3
+        for gate in (cell.reset, cell.update, cell.candidate):
+            gate.bias.data += rng.standard_normal(3) * 0.3
 
         x = Tensor(rng.standard_normal((1, 4, 2)))
         h = Tensor(rng.standard_normal((1, 4, 3)))
         got = ccgru_step(x, h, cell, cell.layer_factors())
 
-        e1 = cell.structure.base.e1.data
-        e2 = cell.structure.base.e2.data
+        e1, e2 = (t.data for t in cell.pairs[0])
 
-        def gate(stack, z):
-            return dense_diffusion(z, e1, e2, [t.data for t in stack.layers[0].thetas])
+        def gate(g, z):
+            return dense_diffusion(z, e1, e2, [t.data for t in g.thetas[0]]) + g.bias.data
 
         x0, h0 = x.data[0], h.data[0]
         xh = np.concatenate([x0, h0], axis=-1)
-        r = sigmoid(gate(cell.reset, xh) + cell.b_r.data)
-        u = sigmoid(gate(cell.update, xh) + cell.b_u.data)
+        r = sigmoid(gate(cell.reset, xh))
+        u = sigmoid(gate(cell.update, xh))
         xc = np.concatenate([x0, r * h0], axis=-1)
-        c = np.tanh(gate(cell.candidate, xc) + cell.b_c.data)
+        c = np.tanh(gate(cell.candidate, xc))
         want = u * h0 + (1.0 - u) * c
         assert got.shape == (1, 4, 3)
         np.testing.assert_allclose(got.data[0], want, atol=1e-10)
@@ -126,9 +121,9 @@ class TestEncodeDecode:
     def test_decoder_feeds_back_own_projection(self):
         rng = np.random.default_rng(82)
         cell, _ = tiny_cell(rng)
-        proj = OutputProjection(
-            w=Tensor(rng.standard_normal((3, 2)), requires_grad=True),
-            b=Tensor(rng.standard_normal(2), requires_grad=True),
+        proj = (
+            Tensor(rng.standard_normal((3, 2)), requires_grad=True),
+            Tensor(rng.standard_normal(2), requires_grad=True),
         )
         h0 = Tensor(rng.standard_normal((1, 4, 3)))
         factors = cell.layer_factors()
@@ -139,16 +134,16 @@ class TestEncodeDecode:
         frames = []
         for _ in range(3):
             h = ccgru_step(y, h, cell, factors)
-            y = Tensor(h.data @ proj.w.data + proj.b.data)
+            y = Tensor(h.data @ proj[0].data + proj[1].data)
             frames.append(y.data[0])
         np.testing.assert_allclose(got.data, np.stack(frames), atol=1e-10)
 
     def test_full_teacher_forcing_feeds_targets(self):
         rng = np.random.default_rng(83)
         cell, _ = tiny_cell(rng)
-        proj = OutputProjection(
-            w=Tensor(rng.standard_normal((3, 2)), requires_grad=True),
-            b=Tensor(rng.standard_normal(2), requires_grad=True),
+        proj = (
+            Tensor(rng.standard_normal((3, 2)), requires_grad=True),
+            Tensor(rng.standard_normal(2), requires_grad=True),
         )
         h0 = Tensor(rng.standard_normal((1, 4, 3)))
         targets = rng.standard_normal((3, 4, 2))
@@ -163,17 +158,14 @@ class TestEncodeDecode:
         frames = []
         for q in range(3):
             h = ccgru_step(Tensor(y[None]), h, cell, factors)
-            frames.append(h.data[0] @ proj.w.data + proj.b.data)
+            frames.append(h.data[0] @ proj[0].data + proj[1].data)
             y = targets[q]
         np.testing.assert_allclose(got.data, np.stack(frames), atol=1e-10)
 
     def test_teacher_forcing_requires_targets_and_rng(self):
         rng = np.random.default_rng(84)
         cell, _ = tiny_cell(rng)
-        proj = OutputProjection(
-            w=Tensor(np.zeros((3, 2)), requires_grad=True),
-            b=Tensor(np.zeros(2), requires_grad=True),
-        )
+        proj = (Tensor(np.zeros((3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
         h0 = Tensor(np.zeros((1, 4, 3)))
         factors = cell.layer_factors()
         with pytest.raises(ValueError):
@@ -184,10 +176,7 @@ class TestEncodeDecode:
     def test_nonpositive_horizon_rejected(self):
         rng = np.random.default_rng(85)
         cell, _ = tiny_cell(rng)
-        proj = OutputProjection(
-            w=Tensor(np.zeros((3, 2)), requires_grad=True),
-            b=Tensor(np.zeros(2), requires_grad=True),
-        )
+        proj = (Tensor(np.zeros((3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
         with pytest.raises(ValueError):
             decode(Tensor(np.zeros((1, 4, 3))), 0, cell, proj, cell.layer_factors())
 
@@ -241,11 +230,12 @@ class TestSeq2Seq:
             e2=Tensor(rng.standard_normal((3, 2)), requires_grad=False),
         )
         model = build_seq2seq(1, 2, 2, 1, base, rng)
-        assert not model.encoder.structure.base.e1.requires_grad
+        e1 = model.encoder.pairs[0][0]
+        assert not e1.requires_grad
         loss = tsum(model.forward(rng.standard_normal((2, 3, 1)), horizon=2))
         grads = backward(loss)
-        assert model.encoder.structure.base.e1 not in grads
-        assert model.encoder.reset.layers[0].thetas[0] in grads
+        assert e1 not in grads
+        assert model.encoder.reset.thetas[0][0] in grads
 
 
 def batch_major_forward(model, window, horizon, targets, teacher_prob, rng):
@@ -261,24 +251,24 @@ def batch_major_forward(model, window, horizon, targets, teacher_prob, rng):
             out = add(out, matmul(s, theta))
         return out
 
-    def gate(z, stack, factors):
+    def gate(z, g, factors):
         zs = []
-        for (e1, e2), layer in zip(factors, stack.layers):
-            z = diffusion(z, e1, e2, layer.thetas)
+        for (e1, e2), thetas in zip(factors, g.thetas):
+            z = diffusion(z, e1, e2, thetas)
             zs.append(z)
         batch, n, beta = zs[0].shape
-        agg = stack.aggregation
         flats = [reshape(z, (batch, n * beta)) for z in zs]
-        alpha = softmax(concat([add(matmul(f, agg.w_alpha), agg.b_alpha) for f in flats], axis=1))
+        alpha = softmax(concat([add(matmul(f, g.score_w), g.score_b) for f in flats], axis=1))
         stacked = concat([reshape(f, (batch, 1, n * beta)) for f in flats], axis=1)
-        return reshape(matmul(reshape(alpha, (batch, 1, len(zs))), stacked), (batch, n, beta))
+        out = reshape(matmul(reshape(alpha, (batch, 1, len(zs))), stacked), (batch, n, beta))
+        return add(out, g.bias)
 
     def step(x, h, cell, factors):
         xh = concat([x, h], axis=-1)
-        r = t_sigmoid(add(gate(xh, cell.reset, factors), cell.b_r))
-        u = t_sigmoid(add(gate(xh, cell.update, factors), cell.b_u))
+        r = t_sigmoid(gate(xh, cell.reset, factors))
+        u = t_sigmoid(gate(xh, cell.update, factors))
         xc = concat([x, mul(r, h)], axis=-1)
-        c = tanh(add(gate(xc, cell.candidate, factors), cell.b_c))
+        c = tanh(gate(xc, cell.candidate, factors))
         return add(mul(u, h), mul(sub(Tensor(1.0), u), c))
 
     enc, dec = model.encoder.layer_factors(), model.decoder.layer_factors()
@@ -286,12 +276,12 @@ def batch_major_forward(model, window, horizon, targets, teacher_prob, rng):
     h = Tensor(np.zeros((batch, n, model.encoder.hidden_size)))
     for t in range(steps):
         h = step(Tensor(window[:, t]), h, model.encoder, enc)
-    proj = model.projection
-    y_prev = Tensor(np.zeros((batch, n, proj.w.shape[1])))
+    w, b = model.projection
+    y_prev = Tensor(np.zeros((batch, n, w.shape[1])))
     frames = []
     for q in range(horizon):
         h = step(y_prev, h, model.decoder, dec)
-        y = add(matmul(h, proj.w), proj.b)
+        y = add(matmul(h, w), b)
         frames.append(reshape(y, (batch, 1) + y.shape[1:]))
         if q + 1 < horizon:
             y_prev = Tensor(targets[:, q]) if rng.random() < teacher_prob else y
@@ -354,13 +344,13 @@ class TestParameterRegistry:
             e2=Tensor(rng.standard_normal((5, 2)), requires_grad=True),
         )
         model = build_seq2seq(1, 3, 2, 1, base, rng)
-        enc = model.encoder
-        assert enc.structure is not model.decoder.structure
+        enc, dec = model.encoder, model.decoder
+        # Every gate of a cell reads the cell's one pair, through its layer factors.
+        assert len(enc.pairs) == 1 and enc.layer_factors()[0] == enc.pairs[0]
         # Encoder and decoder start from the same values but train separately.
-        np.testing.assert_array_equal(
-            enc.structure.base.e1.data, model.decoder.structure.base.e1.data
-        )
-        assert enc.structure.base.e1 is not model.decoder.structure.base.e1
+        np.testing.assert_array_equal(enc.pairs[0][0].data, dec.pairs[0][0].data)
+        assert enc.pairs[0][0] is not dec.pairs[0][0]
+        assert not set(map(id, enc.params.values())) & set(map(id, dec.params.values()))
 
     def test_uncoupled_variant_swaps_structure_kind(self):
         rng = np.random.default_rng(103)
@@ -371,10 +361,11 @@ class TestParameterRegistry:
         )
         coupled = build_seq2seq(1, 3, m, 1, base, np.random.default_rng(1), coupled=True)
         uncoupled = build_seq2seq(1, 3, m, 1, base, np.random.default_rng(1), coupled=False)
-        assert isinstance(coupled.encoder.structure, CoupledStructure)
-        assert isinstance(uncoupled.encoder.structure, IndependentStructure)
-        for pair in uncoupled.encoder.structure.pairs:
-            np.testing.assert_array_equal(pair.e1.data, base.e1.data)
+        assert (len(coupled.encoder.pairs), len(coupled.encoder.couplings)) == (1, m - 1)
+        assert (len(uncoupled.encoder.pairs), len(uncoupled.encoder.couplings)) == (m, 0)
+        assert uncoupled.encoder.layer_factors() == uncoupled.encoder.pairs
+        for e1, _ in uncoupled.encoder.pairs:
+            np.testing.assert_array_equal(e1.data, base.e1.data)
         delta = count_parameters(uncoupled.named_parameters()) - count_parameters(
             coupled.named_parameters()
         )
@@ -402,6 +393,14 @@ class TestParameterRegistry:
         want += [("proj.weight", (2, 1)), ("proj.bias", (1,))]
         got = [(key, t.shape) for key, t in model.named_parameters().items()]
         assert got == want
+
+    def test_every_tensor_carries_its_checkpoint_name(self):
+        base = FactorPair(e1=Tensor(np.ones((3, 2))), e2=Tensor(np.ones((3, 2))))
+        for coupled in (True, False):
+            model = build_seq2seq(1, 2, 3, 1, base, np.random.default_rng(0), coupled=coupled)
+            params = model.named_parameters()
+            assert all(t.name == key for key, t in params.items())
+            assert len(set(map(id, params.values()))) == len(params)
 
 
 class TestSamplingSchedule:

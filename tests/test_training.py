@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrnn.ccgru import build_seq2seq
-from ccrnn.cgc import CoupledStructure, IndependentStructure
 from ccrnn.graphgen import FactorPair
 from ccrnn.synthetic import ring_demand
 from ccrnn.tensor import Tensor, _topo_order, backward, finite_difference_check
@@ -425,22 +424,20 @@ class TestVariants:
 
     def test_no_adaptive_freezes_base_factors(self):
         model = self.build("no_adaptive")
-        assert not model.encoder.structure.base.e1.requires_grad
-        assert not model.decoder.structure.base.e2.requires_grad
-        assert isinstance(model.encoder.structure, CoupledStructure)
+        assert not model.encoder.pairs[0][0].requires_grad
+        assert not model.decoder.pairs[0][1].requires_grad
+        assert (len(model.encoder.pairs), len(model.encoder.couplings)) == (1, 1)
 
     def test_no_coupling_uses_independent_layers(self):
         model = self.build("no_coupling")
-        assert isinstance(model.encoder.structure, IndependentStructure)
-        assert all(p.e1.requires_grad for p in model.encoder.structure.pairs)
+        assert (len(model.encoder.pairs), len(model.encoder.couplings)) == (2, 0)
+        assert all(e1.requires_grad for e1, _ in model.encoder.pairs)
 
     def test_random_init_ignores_demand_structure(self):
         full = self.build("full")
         rand = self.build("random_init")
-        assert np.abs(rand.encoder.structure.base.e1.data).max() <= 0.1
-        assert not np.allclose(
-            full.encoder.structure.base.e1.data, rand.encoder.structure.base.e1.data
-        )
+        assert np.abs(rand.encoder.pairs[0][0].data).max() <= 0.1
+        assert not np.allclose(full.encoder.pairs[0][0].data, rand.encoder.pairs[0][0].data)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
