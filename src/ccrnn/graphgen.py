@@ -34,10 +34,6 @@ class FactorPair:
     def trainable(self) -> bool:
         return self.e1.requires_grad
 
-    @property
-    def rank(self) -> int:
-        return self.e1.shape[1]
-
 
 def truncated_svd(mx: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-`rank` factorization: U (R x rank), S (rank,), V (C x rank).
