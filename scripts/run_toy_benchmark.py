@@ -10,7 +10,6 @@ A healthy run beats the historical-average baseline by well over 20% RMSE.
 import argparse
 import time
 
-import numpy as np
 
 from ccrnn.ingest import fit_scaler, split_by_bins
 from ccrnn.synthetic import ring_demand

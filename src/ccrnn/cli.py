@@ -112,27 +112,27 @@ def _split_for(config: RunConfig, values: np.ndarray, meta: dict[str, str]):
 def cmd_ingest(config: RunConfig, out: Path) -> int:
     if config.trips_csv is None:
         raise ConfigError("ingest needs trips_csv in the config")
-    records, tally = parse_trip_records(
+    trips, tally = parse_trip_records(
         config.trips_csv, config.column_schema(), config.study_rect()
     )
     print(tally.describe())
-    if not records:
+    if not trips:
         raise RuntimeError("no usable records after filtering")
 
     if config.station_mode == "dock_based":
-        docks = stations_from_records(records)
+        docks = stations_from_records(trips)
         stations = docks
         if config.keep_stations < docks.n:
             stations = select_top_stations(docks, config.keep_stations)
     else:
         stations = virtual_stations(
-            records,
+            trips,
             config.num_virtual_stations,
             dc_quantile=config.dc_quantile,
             max_points=config.cluster_max_points,
             seed=config.seed,
         )
-    series, skipped = build_demand_tensor(records, stations, config.bin_width)
+    series, skipped = build_demand_tensor(trips, stations, config.bin_width)
 
     write_demand_blob(out / DEMAND_BLOB, series.values)
     write_sidecar(

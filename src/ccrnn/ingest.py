@@ -1,21 +1,26 @@
 """Trip-record ETL: CSV parsing, station discovery, demand binning, splits.
 
+Ingest is columnar: the parser returns `Trips`, arrays with one row per trip
+and one column per trip end, and stations are a `StationSet` of arrays.
+
 Two station modes. Dock-based systems name their stations in the data, so the
 docks become stations directly (optionally keeping only the busiest). Systems
 without fixed stations get virtual ones: density peak clustering over a
 subsample of pick-up coordinates, with demand assigned to the nearest
 centroid by great-circle distance.
 
-Dirty rows (bad timestamps, drop-off before pick-up, coordinates outside the
-study rectangle) are dropped and tallied, never fatal — schema problems are.
+Dirty rows (bad timestamps, drop-off before pick-up, missing or non-finite
+coordinates, coordinates outside the study rectangle) are dropped and
+tallied, never fatal — schema problems are.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -24,6 +29,8 @@ from .dpc import dpc_cluster
 from .geo import haversine_km
 
 _EPOCH = datetime(1970, 1, 1)
+_US = timedelta(microseconds=1)
+_BLOCK = 8192  # events per nearest-centroid block: bounds the distance matrix at 8192 x N
 
 
 class SchemaError(ValueError):
@@ -50,9 +57,9 @@ class StudyRect:
 class ColumnSchema:
     """Maps the semantic fields onto CSV column names.
 
-    Either both station-id columns (dock-based data) or all four coordinate
-    columns (coordinate data) must be present. Dock-based data may also carry
-    coordinate columns, used to place the docks on the map.
+    All four coordinate columns are required: docks are placed by them and
+    virtual stations are clustered from them. Dock-based data also names both
+    station-id columns.
     """
 
     pickup_time: str = "pickup_time"
@@ -66,35 +73,33 @@ class ColumnSchema:
 
     @property
     def mode(self) -> str:
-        if self.pickup_station and self.dropoff_station:
-            return "ids"
-        if self.pickup_lon and self.pickup_lat and self.dropoff_lon and self.dropoff_lat:
-            return "coords"
-        raise SchemaError(
-            "schema needs either both station columns or all four coordinate columns"
-        )
+        return "ids" if self.pickup_station and self.dropoff_station else "coords"
 
     def required_columns(self) -> list[str]:
-        mode = self.mode  # validates completeness
-        cols = [self.pickup_time, self.dropoff_time]
-        if mode == "ids":
-            cols += [self.pickup_station, self.dropoff_station]
-        has_coords = all(
-            (self.pickup_lon, self.pickup_lat, self.dropoff_lon, self.dropoff_lat)
-        )
-        if mode == "coords" or has_coords:
-            cols += [self.pickup_lon, self.pickup_lat, self.dropoff_lon, self.dropoff_lat]
-        return cols
+        coords = [self.pickup_lon, self.pickup_lat, self.dropoff_lon, self.dropoff_lat]
+        if not all(coords):
+            raise SchemaError(
+                "schema needs all four coordinate columns: docks are placed by them "
+                "and virtual stations are clustered from them"
+            )
+        stations = [self.pickup_station, self.dropoff_station] if self.mode == "ids" else []
+        return [self.pickup_time, self.dropoff_time, *stations, *coords]
 
 
 @dataclass
-class TripRecord:
-    pickup_time: datetime
-    dropoff_time: datetime
-    pickup_loc: tuple[float, float] | str  # (lon, lat) or station label
-    dropoff_loc: tuple[float, float] | str
-    pickup_coords: tuple[float, float] | None = None  # set when loc is a label
-    dropoff_coords: tuple[float, float] | None = None
+class Trips:
+    """Accepted trips as columns, in pick-up time order.
+
+    Axis 1 is the trip end, 0 pick-up and 1 drop-off; it is also the demand
+    channel.
+    """
+
+    times: np.ndarray  # (n, 2) int64 microseconds since 1970-01-01, naive UTC
+    coords: np.ndarray  # (n, 2, 2) lon/lat
+    labels: np.ndarray | None = None  # (n, 2) dock labels in ids mode
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
 
 
 @dataclass
@@ -123,34 +128,30 @@ def _to_naive(t: datetime) -> datetime:
 
 def parse_trip_records(
     source, schema: ColumnSchema, rect: StudyRect | None = None
-) -> tuple[list[TripRecord], ParseTally]:
-    """Read, validate, and time-sort trip records from a CSV stream or path.
+) -> tuple[Trips, ParseTally]:
+    """Read, validate, and time-sort trip records from a CSV path or text stream.
 
-    Malformed rows are skipped and tallied; a header that lacks a mandatory
-    column is a SchemaError.
+    Malformed rows are skipped and tallied; a schema without the four
+    coordinate columns, or a header that lacks a mandatory column, is a
+    SchemaError.
     """
+    required = schema.required_columns()
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_trip_records(fh, schema, rect)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "read") and isinstance(source.read(0), bytes)
-    ):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
     reader = csv.DictReader(source)
     header = reader.fieldnames or []
-    for col in schema.required_columns():
+    for col in required:
         if col not in header:
             raise SchemaError(f"missing column {col!r} in header {header}")
 
-    mode = schema.mode
-    has_coords = all(
-        (schema.pickup_lon, schema.pickup_lat, schema.dropoff_lon, schema.dropoff_lat)
-    )
+    ids = schema.mode == "ids"
+    coord_cols = (schema.pickup_lon, schema.pickup_lat, schema.dropoff_lon, schema.dropoff_lat)
     tally = ParseTally()
-    records: list[TripRecord] = []
+    times: list[int] = []  # flat columns: two entries per trip, four coordinates
+    coords: list[float] = []
+    labels: list[str] = []
     for row in reader:
         tally.rows_read += 1
         try:
@@ -163,35 +164,37 @@ def parse_trip_records(
             tally.time_reversed += 1
             continue
 
-        pick_xy = drop_xy = None
-        if has_coords:
-            try:
-                pick_xy = (float(row[schema.pickup_lon]), float(row[schema.pickup_lat]))
-                drop_xy = (float(row[schema.dropoff_lon]), float(row[schema.dropoff_lat]))
-            except (TypeError, ValueError):
-                tally.malformed += 1
-                continue
-            if rect is not None and not (
-                rect.contains(*pick_xy) and rect.contains(*drop_xy)
-            ):
-                tally.out_of_area += 1
-                continue
+        try:
+            xy = [float(row[col]) for col in coord_cols]
+            finite = all(map(math.isfinite, xy))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            tally.malformed += 1
+            continue
+        if rect is not None and not (rect.contains(*xy[:2]) and rect.contains(*xy[2:])):
+            tally.out_of_area += 1
+            continue
 
-        if mode == "ids":
+        if ids:
             pick_label = (row[schema.pickup_station] or "").strip()
             drop_label = (row[schema.dropoff_station] or "").strip()
             if not pick_label or not drop_label:
                 tally.malformed += 1
                 continue
-            records.append(
-                TripRecord(t_pick, t_drop, pick_label, drop_label, pick_xy, drop_xy)
-            )
-        else:
-            records.append(TripRecord(t_pick, t_drop, pick_xy, drop_xy))
+            labels += (pick_label, drop_label)
+        times += ((t_pick - _EPOCH) // _US, (t_drop - _EPOCH) // _US)
+        coords += xy
         tally.accepted += 1
 
-    records.sort(key=lambda r: r.pickup_time)
-    return records, tally
+    us = np.array(times, dtype=np.int64).reshape(-1, 2)
+    order = np.argsort(us[:, 0], kind="stable")
+    trips = Trips(
+        times=us[order],
+        coords=np.array(coords, dtype=np.float64).reshape(-1, 2, 2)[order],
+        labels=np.array(labels, dtype=str).reshape(-1, 2)[order] if ids else None,
+    )
+    return trips, tally
 
 
 # ---------------------------------------------------------------------------
@@ -200,62 +203,51 @@ def parse_trip_records(
 
 
 @dataclass
-class Station:
-    id: int
-    lon: float
-    lat: float
-    member_count: int
-
-
-@dataclass
 class StationSet:
-    stations: list[Station]
+    """Stations as columns; a station's id is its position."""
+
+    lons: np.ndarray
+    lats: np.ndarray
+    member_count: np.ndarray
     kind: str  # dock_based | virtual
     labels: list[str] | None = None  # source labels for dock-based sets
 
     def __post_init__(self):
         if self.kind not in ("dock_based", "virtual"):
             raise ValueError(f"unknown station kind {self.kind!r}")
-        ids = [s.id for s in self.stations]
-        if ids != list(range(len(ids))):
-            raise ValueError(f"station ids must be 0..{len(ids) - 1} with no gaps")
-        coords = {(s.lon, s.lat) for s in self.stations}
-        if len(coords) != len(self.stations):
+        self.lons = np.asarray(self.lons, dtype=np.float64)
+        self.lats = np.asarray(self.lats, dtype=np.float64)
+        self.member_count = np.asarray(self.member_count, dtype=np.int64)
+        if not self.lons.shape == self.lats.shape == self.member_count.shape == (self.n,):
+            raise ValueError("one lon, lat and member count per station required")
+        if len(set(zip(self.lons.tolist(), self.lats.tolist()))) != self.n:
             raise ValueError("station centroids must be distinct")
-        if self.labels is not None and len(self.labels) != len(self.stations):
+        if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("one label per station required")
 
     @property
     def n(self) -> int:
-        return len(self.stations)
-
-    @property
-    def lons(self) -> np.ndarray:
-        return np.array([s.lon for s in self.stations])
-
-    @property
-    def lats(self) -> np.ndarray:
-        return np.array([s.lat for s in self.stations])
+        return self.lons.size
 
     def to_csv(self) -> str:
+        rows = zip(self.lons.tolist(), self.lats.tolist(), self.member_count.tolist())
         lines = ["id,lon,lat,member_count"]
-        for s in self.stations:
-            lines.append(f"{s.id},{s.lon!r},{s.lat!r},{s.member_count}")
+        lines += [f"{i},{lon!r},{lat!r},{count}" for i, (lon, lat, count) in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text: str, kind: str, labels: list[str] | None = None) -> "StationSet":
-        reader = csv.DictReader(io.StringIO(text))
-        stations = [
-            Station(
-                id=int(row["id"]),
-                lon=float(row["lon"]),
-                lat=float(row["lat"]),
-                member_count=int(row["member_count"]),
-            )
-            for row in reader
-        ]
-        return StationSet(stations, kind, labels)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        ids = [int(row["id"]) for row in rows]
+        if ids != list(range(len(ids))):
+            raise ValueError(f"station ids must be 0..{len(ids) - 1} with no gaps")
+        return StationSet(
+            [float(row["lon"]) for row in rows],
+            [float(row["lat"]) for row in rows],
+            [int(row["member_count"]) for row in rows],
+            kind,
+            labels,
+        )
 
 
 def _label_sort_key(label: str):
@@ -265,37 +257,25 @@ def _label_sort_key(label: str):
         return (1, 0, label)
 
 
-def stations_from_records(records: list[TripRecord]) -> StationSet:
+def stations_from_records(trips: Trips) -> StationSet:
     """Build the dock set named by the data itself.
 
     Every distinct station label becomes a dock; its centroid is the mean of
     the coordinates observed at it and its member count the number of events
-    (pick-ups plus drop-offs) touching it.
+    (pick-ups plus drop-offs) touching it. Coordinates are summed in event
+    order: trip by trip, pick-up before drop-off.
     """
-    sums: dict[str, np.ndarray] = {}
-    seen: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for rec in records:
-        for label, xy in (
-            (rec.pickup_loc, rec.pickup_coords),
-            (rec.dropoff_loc, rec.dropoff_coords),
-        ):
-            if not isinstance(label, str):
-                raise ValueError("records carry raw coordinates; no dock labels to collect")
-            counts[label] = counts.get(label, 0) + 1
-            if xy is not None:
-                sums.setdefault(label, np.zeros(2))
-                sums[label] += xy
-                seen[label] = seen.get(label, 0) + 1
-    labels = sorted(counts, key=_label_sort_key)
-    missing = [lb for lb in labels if lb not in seen]
-    if missing:
-        raise ValueError(f"no coordinates observed for dock(s) {missing[:5]}")
-    stations = []
-    for i, lb in enumerate(labels):
-        lon, lat = sums[lb] / seen[lb]
-        stations.append(Station(id=i, lon=float(lon), lat=float(lat), member_count=counts[lb]))
-    return StationSet(stations, "dock_based", labels=labels)
+    if trips.labels is None:
+        raise ValueError("trips carry no dock labels to collect")
+    found, inverse = np.unique(trips.labels.ravel(), return_inverse=True)
+    labels = found.tolist()
+    order = sorted(range(len(labels)), key=lambda u: _label_sort_key(labels[u]))
+    dock = np.argsort(order)[inverse]  # argsort of a permutation inverts it
+    xy = trips.coords.reshape(-1, 2)
+    count = np.bincount(dock, minlength=len(labels))
+    lons = np.bincount(dock, weights=xy[:, 0], minlength=len(labels)) / count
+    lats = np.bincount(dock, weights=xy[:, 1], minlength=len(labels)) / count
+    return StationSet(lons, lats, count, "dock_based", labels=[labels[u] for u in order])
 
 
 def select_top_stations(docks: StationSet, keep: int) -> StationSet:
@@ -307,13 +287,18 @@ def select_top_stations(docks: StationSet, keep: int) -> StationSet:
         raise ValueError(f"cannot keep {keep} of {docks.n} docks")
     if docks.labels is None:
         raise ValueError("dock set carries no source labels")
-    order = sorted(range(docks.n), key=lambda i: (-docks.stations[i].member_count, i))[:keep]
-    stations = [replace(docks.stations[old], id=new_id) for new_id, old in enumerate(order)]
-    return StationSet(stations, "dock_based", labels=[docks.labels[old] for old in order])
+    order = np.argsort(-docks.member_count, kind="stable")[:keep]
+    return StationSet(
+        docks.lons[order],
+        docks.lats[order],
+        docks.member_count[order],
+        "dock_based",
+        labels=[docks.labels[old] for old in order],
+    )
 
 
 def virtual_stations(
-    records: list[TripRecord],
+    trips: Trips,
     num_stations: int,
     dc_quantile: float = 0.02,
     max_points: int = 50_000,
@@ -324,27 +309,13 @@ def virtual_stations(
     Clustering runs on a uniform subsample of at most `max_points` pick-ups
     to bound the quadratic distance matrix.
     """
-    points = np.array(
-        [
-            rec.pickup_coords if rec.pickup_coords is not None else rec.pickup_loc
-            for rec in records
-            if not isinstance(rec.pickup_loc, str) or rec.pickup_coords is not None
-        ],
-        dtype=np.float64,
-    )
-    if points.ndim != 2:
-        raise ValueError("no pick-up coordinates available for clustering")
+    points = trips.coords[:, 0]
     if points.shape[0] > max_points:
         idx = np.random.default_rng(seed).choice(points.shape[0], max_points, replace=False)
         points = points[np.sort(idx)]
     result = dpc_cluster(points, num_stations, dc_quantile)
     sizes = np.bincount(result.labels, minlength=num_stations)
-    stations = [
-        Station(id=k, lon=float(result.centroids[k, 0]), lat=float(result.centroids[k, 1]),
-                member_count=int(sizes[k]))
-        for k in range(num_stations)
-    ]
-    return StationSet(stations, "virtual")
+    return StationSet(result.centroids[:, 0], result.centroids[:, 1], sizes, "virtual")
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +330,8 @@ class DemandSeries:
     bin_width: timedelta
 
 
-def _floor_to_bin(t: datetime, width: timedelta) -> datetime:
-    seconds = (t - _EPOCH).total_seconds()
-    w = width.total_seconds()
-    return _EPOCH + timedelta(seconds=(seconds // w) * w)
-
-
 def build_demand_tensor(
-    records: list[TripRecord],
+    trips: Trips,
     stations: StationSet,
     bin_width: timedelta,
     bin_start: datetime | None = None,
@@ -381,45 +346,35 @@ def build_demand_tensor(
     """
     if stations.n == 0:
         raise ValueError("station set is empty")
-    if not records:
+    if not trips:
         raise ValueError("no records to bin")
 
-    events = []  # (time, loc, coords, channel)
-    for rec in records:
-        events.append((rec.pickup_time, rec.pickup_loc, rec.pickup_coords, 0))
-        events.append((rec.dropoff_time, rec.dropoff_loc, rec.dropoff_coords, 1))
-
+    width = bin_width // _US
     if bin_start is None:
-        bin_start = _floor_to_bin(min(e[0] for e in events), bin_width)
+        bin_start = _EPOCH + timedelta(microseconds=int(trips.times.min() // width * width))
+    bins = (trips.times - (bin_start - _EPOCH) // _US) // width
     if num_bins is None:
-        last = max(e[0] for e in events)
-        span = (last - bin_start).total_seconds()
-        num_bins = int(span // bin_width.total_seconds()) + 1
+        num_bins = int(bins.max()) + 1
 
-    label_index = (
-        {lb: i for i, lb in enumerate(stations.labels)} if stations.labels else {}
-    )
-    lons, lats = stations.lons, stations.lats
-    width_s = bin_width.total_seconds()
-    values = np.zeros((num_bins, stations.n, 2))
-    skipped = 0
-    for t, loc, coords, channel in events:
-        b = int((t - bin_start).total_seconds() // width_s)
-        if not 0 <= b < num_bins:
-            skipped += 1
-            continue
-        if stations.kind == "dock_based":
-            if not isinstance(loc, str) or loc not in label_index:
-                skipped += 1
-                continue
-            s = label_index[loc]
-        else:
-            xy = coords if coords is not None else loc
-            if isinstance(xy, str):
-                skipped += 1
-                continue
-            s = int(np.argmin(haversine_km(xy[0], xy[1], lons, lats)))
-        values[b, s, channel] += 1.0
+    if stations.kind == "virtual":
+        xy = trips.coords.reshape(-1, 2)
+        station = np.empty(len(xy), dtype=np.int64)
+        for lo in range(0, len(xy), _BLOCK):
+            block = xy[lo : lo + _BLOCK]
+            dist = haversine_km(block[:, :1], block[:, 1:], stations.lons, stations.lats)
+            station[lo : lo + _BLOCK] = dist.argmin(axis=1)
+        station = station.reshape(bins.shape)
+    else:
+        index = {label: i for i, label in enumerate(stations.labels or ())}
+        found, inverse = np.unique(trips.labels.ravel(), return_inverse=True)
+        lookup = np.array([index.get(label, -1) for label in found.tolist()], dtype=np.int64)
+        station = lookup[inverse].reshape(bins.shape)
+
+    kept = (bins >= 0) & (bins < num_bins) & (station >= 0)
+    cell = (bins * stations.n + station) * 2 + np.arange(2)
+    counts = np.bincount(cell[kept], minlength=num_bins * stations.n * 2)
+    values = counts.astype(np.float64).reshape(num_bins, stations.n, 2)
+    skipped = kept.size - int(np.count_nonzero(kept))
     return DemandSeries(values=values, bin_start=bin_start, bin_width=bin_width), skipped
 
 

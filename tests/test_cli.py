@@ -544,6 +544,15 @@ class TestCliErrors:
         assert main(["ingest", "--config", str(config_path)]) == 2
         assert "coordinate columns" in capsys.readouterr().err
 
+    def test_dock_config_without_coordinate_columns_exits_2(self, tmp_path, capsys):
+        no_coords = dict.fromkeys(
+            ("pickup_lon_col", "pickup_lat_col", "dropoff_lon_col", "dropoff_lat_col")
+        )
+        config_path, _ = write_config(tmp_path, **no_coords)
+        assert main(["ingest", "--config", str(config_path)]) == 2
+        assert "coordinate columns" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "demand.dmd1").exists()
+
     def test_inverted_rect_exits_2(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, rect=[1.0, 0.0, 0.0, 1.0])
         assert main(["ingest", "--config", str(config_path)]) == 2

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ccrnn.dpc import dpc_cluster
+from ccrnn.geo import haversine_km
 from ccrnn.ingest import (
+    _BLOCK,
     ColumnSchema,
     SchemaError,
-    Station,
     StationSet,
     StudyRect,
-    TripRecord,
+    Trips,
     bins_per_week,
     build_demand_tensor,
     fit_scaler,
@@ -55,6 +56,25 @@ def id_csv(rows):
     out = ["t_pick,t_drop,pstation,dstation,plon,plat,dlon,dlat"]
     out += [",".join(str(v) for v in r) for r in rows]
     return io.StringIO("\n".join(out) + "\n")
+
+
+EPOCH = datetime(1970, 1, 1)
+
+
+def us(t: datetime) -> int:
+    """Microseconds since 1970-01-01, the unit of `Trips.times`."""
+    return (t - EPOCH) // timedelta(microseconds=1)
+
+
+def make_trips(times, coords=None, labels=None):
+    """Trips from (pick-up, drop-off) datetimes, ((lon, lat), (lon, lat)) pairs
+    (zeros when omitted) and (pick-up, drop-off) dock labels."""
+    n = len(times)
+    return Trips(
+        times=np.array([[us(t) for t in pair] for pair in times], dtype=np.int64).reshape(n, 2),
+        coords=np.zeros((n, 2, 2)) if coords is None else np.array(coords, dtype=float),
+        labels=None if labels is None else np.array(labels, dtype=str),
+    )
 
 
 class TestDpc:
@@ -131,12 +151,14 @@ class TestParse:
                 ("2016-04-03 08:00:00", "2016-04-03 08:10:00", -73.97, 40.76, -73.99, 40.74),
             ]
         )
-        records, tally = parse_trip_records(src, COORD_SCHEMA)
+        trips, tally = parse_trip_records(src, COORD_SCHEMA)
         assert tally.rows_read == 3
         assert tally.accepted == 3
-        times = [r.pickup_time for r in records]
+        assert len(trips) == 3
+        times = trips.times[:, 0].tolist()
         assert times == sorted(times)
-        assert records[0].pickup_loc == (-73.99, 40.74)
+        assert trips.coords[0, 0].tolist() == [-73.99, 40.74]
+        assert trips.labels is None
 
     def test_time_reversed_row_skipped_and_tallied(self):
         src = coord_csv(
@@ -145,8 +167,8 @@ class TestParse:
                 ("2016-04-01 09:00:00", "2016-04-01 09:30:00", -73.99, 40.74, -73.98, 40.75),
             ]
         )
-        records, tally = parse_trip_records(src, COORD_SCHEMA)
-        assert len(records) == 1
+        trips, tally = parse_trip_records(src, COORD_SCHEMA)
+        assert len(trips) == 1
         assert tally.time_reversed == 1
         assert tally.skipped == 1
 
@@ -158,9 +180,22 @@ class TestParse:
                 ("2016-04-01 10:00:00", "2016-04-01 10:30:00", -80.0, 40.74, -73.98, 40.75),
             ]
         )
-        records, tally = parse_trip_records(src, COORD_SCHEMA, rect)
-        assert len(records) == 1
+        trips, tally = parse_trip_records(src, COORD_SCHEMA, rect)
+        assert len(trips) == 1
         assert tally.out_of_area == 1
+
+    def test_non_finite_coordinates_are_malformed(self):
+        src = coord_csv(
+            [
+                ("2016-04-01 09:00:00", "2016-04-01 09:30:00", "nan", 40.74, -73.98, 40.75),
+                ("2016-04-01 10:00:00", "2016-04-01 10:30:00", -73.99, 40.74, -73.98, "inf"),
+                ("2016-04-01 11:00:00", "2016-04-01 11:30:00", -73.99, 40.74, -73.98, 40.75),
+            ]
+        )
+        trips, tally = parse_trip_records(src, COORD_SCHEMA)
+        assert tally.malformed == 2
+        assert tally.accepted == 1
+        assert np.isfinite(trips.coords).all()
 
     def test_missing_column_is_schema_error(self):
         src = io.StringIO("t_pick,t_drop,plon,plat,dlon\n")
@@ -174,8 +209,8 @@ class TestParse:
                 ("2016-04-01 09:00:00", "2016-04-01 09:30:00", -73.99, 40.74, -73.98, 40.75),
             ]
         )
-        records, tally = parse_trip_records(src, COORD_SCHEMA)
-        assert len(records) == 1
+        trips, tally = parse_trip_records(src, COORD_SCHEMA)
+        assert len(trips) == 1
         assert tally.bad_timestamp == 1
 
     def test_id_mode_keeps_labels_and_coords(self):
@@ -184,19 +219,13 @@ class TestParse:
                 ("2016-04-01 09:00:00", "2016-04-01 09:30:00", "72", "79", -73.99, 40.74, -73.98, 40.75),
             ]
         )
-        records, tally = parse_trip_records(src, ID_SCHEMA)
+        trips, tally = parse_trip_records(src, ID_SCHEMA)
         assert tally.accepted == 1
-        rec = records[0]
-        assert rec.pickup_loc == "72"
-        assert rec.dropoff_loc == "79"
-        assert rec.pickup_coords == (-73.99, 40.74)
-
-    def test_byte_stream_input(self):
-        text = coord_csv(
-            [("2016-04-01 09:00:00", "2016-04-01 09:30:00", -73.99, 40.74, -73.98, 40.75)]
-        ).getvalue()
-        records, tally = parse_trip_records(text.encode(), COORD_SCHEMA)
-        assert tally.accepted == 1
+        assert trips.labels[0].tolist() == ["72", "79"]
+        assert trips.coords[0, 0].tolist() == [-73.99, 40.74]
+        assert trips.times[0].tolist() == [
+            us(datetime(2016, 4, 1, 9, 0)), us(datetime(2016, 4, 1, 9, 30))
+        ]
 
     def test_path_and_str_sources_agree(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -206,120 +235,179 @@ class TestParse:
                 ("not-a-time", "2016-04-01 09:30:00", -73.99, 40.74, -73.98, 40.75),
             ]
         ).getvalue(), encoding="utf-8")
-        from_path = parse_trip_records(path, COORD_SCHEMA)
-        from_str = parse_trip_records(str(path), COORD_SCHEMA)
-        assert from_path == from_str
-        assert from_path[1].accepted == 1 and from_path[1].bad_timestamp == 1
+        from_path, path_tally = parse_trip_records(path, COORD_SCHEMA)
+        from_str, str_tally = parse_trip_records(str(path), COORD_SCHEMA)
+        np.testing.assert_array_equal(from_path.times, from_str.times)
+        np.testing.assert_array_equal(from_path.coords, from_str.coords)
+        assert from_path.labels is None and from_str.labels is None
+        assert path_tally == str_tally
+        assert path_tally.accepted == 1 and path_tally.bad_timestamp == 1
 
     def test_incomplete_schema_rejected(self):
         with pytest.raises(SchemaError):
             ColumnSchema(pickup_time="a", dropoff_time="b").required_columns()
+        with pytest.raises(SchemaError, match="coordinate"):
+            ColumnSchema(pickup_station="s", dropoff_station="d").required_columns()
 
 
-def _dock_records():
+def _dock_trips():
     """Three docks: '7' with 2 trips, '30' with 1, '100' with 1 (as dropoff)."""
     t0 = datetime(2016, 4, 1, 9, 0)
-
-    def rec(minute, pick, drop, pxy, dxy):
-        return TripRecord(
-            t0 + timedelta(minutes=minute),
-            t0 + timedelta(minutes=minute + 10),
-            pick,
-            drop,
-            pxy,
-            dxy,
-        )
-
-    return [
-        rec(0, "7", "30", (-73.99, 40.74), (-73.98, 40.75)),
-        rec(30, "7", "100", (-73.99, 40.74), (-73.97, 40.76)),
-        rec(60, "30", "7", (-73.98, 40.75), (-73.99, 40.74)),
+    rows = [
+        (0, "7", "30", (-73.99, 40.74), (-73.98, 40.75)),
+        (30, "7", "100", (-73.99, 40.74), (-73.97, 40.76)),
+        (60, "30", "7", (-73.98, 40.75), (-73.99, 40.74)),
     ]
+    return make_trips(
+        [(t0 + timedelta(minutes=m), t0 + timedelta(minutes=m + 10)) for m, *_ in rows],
+        coords=[(pxy, dxy) for *_, pxy, dxy in rows],
+        labels=[(pick, drop) for _, pick, drop, *_ in rows],
+    )
+
+
+def dock_set(counts, labels=None):
+    """Docks on a line of longitudes, one per member count."""
+    n = len(counts)
+    return StationSet(np.arange(n, dtype=float), np.zeros(n), counts, "dock_based", labels)
 
 
 class TestStations:
     def test_docks_from_records(self):
-        docks = stations_from_records(_dock_records())
+        docks = stations_from_records(_dock_trips())
         assert docks.kind == "dock_based"
         assert docks.labels == ["7", "30", "100"]  # numeric ordering
-        assert [s.member_count for s in docks.stations] == [3, 2, 1]
-        assert docks.stations[0].lon == pytest.approx(-73.99)
+        assert docks.member_count.tolist() == [3, 2, 1]
+        assert docks.lons[0] == pytest.approx(-73.99)
+
+    def test_centroids_match_a_sequential_sum(self):
+        """Centroids are event-order sums, bit for bit, not pairwise ones."""
+        rng = np.random.default_rng(49)
+        n = 3000
+        labels = rng.choice(["3", "12", "x", "07", "40"], size=(n, 2))
+        coords = rng.uniform(-74.1, -73.7, size=(n, 2, 2))
+        trips = Trips(np.zeros((n, 2), dtype=np.int64), coords, labels)
+        docks = stations_from_records(trips)
+        for dock, label in enumerate(docks.labels):
+            total, count = [0.0, 0.0], 0
+            for k in range(n):
+                for end in (0, 1):
+                    if labels[k, end] == label:
+                        total = [total[0] + coords[k, end, 0], total[1] + coords[k, end, 1]]
+                        count += 1
+            assert docks.member_count[dock] == count
+            assert docks.lons[dock].tobytes() == np.float64(total[0] / count).tobytes()
+            assert docks.lats[dock].tobytes() == np.float64(total[1] / count).tobytes()
+        assert docks.labels == ["3", "07", "12", "40", "x"]
 
     def test_select_top_reorders_by_count(self):
-        stations = [
-            Station(id=i, lon=float(i), lat=0.0, member_count=c) for i, c in enumerate([5, 9, 1])
-        ]
-        docks = StationSet(stations, "dock_based", labels=["a", "b", "c"])
+        docks = dock_set([5, 9, 1], labels=["a", "b", "c"])
         top = select_top_stations(docks, 2)
         assert top.labels == ["b", "a"]
-        assert [s.member_count for s in top.stations] == [9, 5]
-        assert [s.id for s in top.stations] == [0, 1]
-        assert [s.lon for s in top.stations] == [1.0, 0.0]
+        assert top.member_count.tolist() == [9, 5]
+        assert top.n == 2
+        assert top.lons.tolist() == [1.0, 0.0]
 
     def test_select_all_is_identity_order_for_equal_counts(self):
-        stations = [Station(id=i, lon=float(i), lat=0.0, member_count=4) for i in range(3)]
-        docks = StationSet(stations, "dock_based", labels=["x", "y", "z"])
+        docks = dock_set([4, 4, 4], labels=["x", "y", "z"])
         top = select_top_stations(docks, 3)
         assert top.labels == ["x", "y", "z"]
 
     def test_keep_exceeding_docks_rejected(self):
-        docks = StationSet(
-            [Station(0, 0.0, 0.0, 1)], "dock_based", labels=["only"]
-        )
+        docks = dock_set([1], labels=["only"])
         with pytest.raises(ValueError):
             select_top_stations(docks, 2)
 
     def test_station_set_invariants(self):
         with pytest.raises(ValueError, match="0..1"):
-            StationSet(
-                [Station(0, 0.0, 0.0, 1), Station(2, 1.0, 1.0, 1)], "dock_based"
+            StationSet.from_csv(
+                "id,lon,lat,member_count\n0,0.0,0.0,1\n2,1.0,1.0,1\n", "dock_based"
             )
         with pytest.raises(ValueError, match="distinct"):
-            StationSet(
-                [Station(0, 1.0, 2.0, 1), Station(1, 1.0, 2.0, 1)], "virtual"
-            )
+            StationSet([1.0, 1.0], [2.0, 2.0], [1, 1], "virtual")
+        with pytest.raises(ValueError, match="per station"):
+            StationSet([1.0], [2.0, 3.0], [1, 1], "virtual")
 
     def test_csv_round_trip(self):
-        docks = stations_from_records(_dock_records())
+        docks = stations_from_records(_dock_trips())
         text = docks.to_csv()
         back = StationSet.from_csv(text, "dock_based", labels=docks.labels)
         assert back.to_csv() == text
-        assert [s.lon for s in back.stations] == [s.lon for s in docks.stations]
+        assert back.lons.tolist() == docks.lons.tolist()
 
     def test_virtual_stations_from_coordinates(self):
         rng = np.random.default_rng(43)
         t0 = datetime(2016, 4, 1)
-        records = []
+        coords = []
         for center in ((-73.99, 40.74), (-73.95, 40.78)):
             for _ in range(40):
                 lon = center[0] + rng.normal(0, 0.001)
                 lat = center[1] + rng.normal(0, 0.001)
-                records.append(TripRecord(t0, t0, (lon, lat), (lon, lat)))
-        stations = virtual_stations(records, 2, seed=1)
+                coords.append(((lon, lat), (lon, lat)))
+        trips = make_trips([(t0, t0)] * len(coords), coords=coords)
+        stations = virtual_stations(trips, 2, seed=1)
         assert stations.kind == "virtual"
         assert stations.n == 2
-        got = sorted((round(s.lon, 2), round(s.lat, 2)) for s in stations.stations)
+        got = sorted(zip(stations.lons.round(2).tolist(), stations.lats.round(2).tolist()))
         assert got == [(-73.99, 40.74), (-73.95, 40.78)]
+
+
+def per_event_oracle(trips, stations, bin_width, bin_start=None, num_bins=None):
+    """The per-event loop that binned demand before the array version.
+
+    Times are datetimes, bins come from float seconds, and every virtual
+    event makes its own haversine call.
+    """
+    events = []
+    for k in range(len(trips)):
+        for end in (0, 1):
+            t = EPOCH + timedelta(microseconds=int(trips.times[k, end]))
+            label = None if trips.labels is None else str(trips.labels[k, end])
+            events.append((t, label, trips.coords[k, end].tolist(), end))
+    width_s = bin_width.total_seconds()
+    if bin_start is None:
+        first = (min(e[0] for e in events) - EPOCH).total_seconds()
+        bin_start = EPOCH + timedelta(seconds=(first // width_s) * width_s)
+    if num_bins is None:
+        span = (max(e[0] for e in events) - bin_start).total_seconds()
+        num_bins = int(span // width_s) + 1
+    label_index = {lb: i for i, lb in enumerate(stations.labels or [])}
+    values = np.zeros((num_bins, stations.n, 2))
+    skipped = 0
+    for t, label, xy, channel in events:
+        b = int((t - bin_start).total_seconds() // width_s)
+        if not 0 <= b < num_bins or (
+            stations.kind == "dock_based" and label not in label_index
+        ):
+            skipped += 1
+            continue
+        if stations.kind == "dock_based":
+            s = label_index[label]
+        else:
+            s = int(np.argmin(haversine_km(xy[0], xy[1], stations.lons, stations.lats)))
+        values[b, s, channel] += 1.0
+    return values, bin_start, skipped
+
+
+def random_trips(rng, n, labels=None):
+    """Seeded trips over three days with microsecond times."""
+    t0 = us(datetime(2016, 4, 1, 0, 0, 0, 1234))
+    pick = t0 + rng.integers(0, 3 * 86_400_000_000, n)
+    times = np.stack([pick, pick + rng.integers(0, 5_400_000_000, n)], axis=1)
+    coords = np.stack([rng.uniform(-74.05, -73.85, (n, 2)), rng.uniform(40.6, 40.9, (n, 2))], -1)
+    picked = None if labels is None else rng.choice(labels, size=(n, 2))
+    return Trips(times, coords, picked)
 
 
 class TestDemandTensor:
     def test_single_pickup_increment(self):
-        stations = StationSet(
-            [Station(i, float(i), 0.0, 0) for i in range(5)],
-            "dock_based",
-            labels=[str(i) for i in range(5)],
-        )
+        stations = dock_set([0] * 5, labels=[str(i) for i in range(5)])
         t0 = datetime(2016, 4, 1, 0, 0)
-        rec = TripRecord(
-            t0 + timedelta(minutes=7 * 30 + 5),  # bin 7
-            t0 + timedelta(minutes=7 * 30 + 15),
-            "3",
-            "3",
-            None,
-            None,
+        trips = make_trips(
+            [(t0 + timedelta(minutes=7 * 30 + 5), t0 + timedelta(minutes=7 * 30 + 15))],  # bin 7
+            labels=[("3", "3")],
         )
         series, skipped = build_demand_tensor(
-            [rec], stations, timedelta(minutes=30), bin_start=t0, num_bins=10
+            trips, stations, timedelta(minutes=30), bin_start=t0, num_bins=10
         )
         assert skipped == 0
         assert series.values[7, 3, 0] == 1.0
@@ -327,81 +415,98 @@ class TestDemandTensor:
         assert series.values[:, :, 0].sum() == 1.0
 
     def test_two_events_same_cell_accumulate(self):
-        stations = StationSet([Station(0, 0.0, 0.0, 0)], "dock_based", labels=["s"])
+        stations = dock_set([0], labels=["s"])
         t0 = datetime(2016, 4, 1)
-        recs = [
-            TripRecord(t0, t0 + timedelta(hours=2), "s", "s", None, None),
-            TripRecord(t0 + timedelta(minutes=5), t0 + timedelta(hours=2), "s", "s", None, None),
-        ]
+        trips = make_trips(
+            [(t0, t0 + timedelta(hours=2)), (t0 + timedelta(minutes=5), t0 + timedelta(hours=2))],
+            labels=[("s", "s"), ("s", "s")],
+        )
         series, _ = build_demand_tensor(
-            recs, stations, timedelta(minutes=30), bin_start=t0, num_bins=8
+            trips, stations, timedelta(minutes=30), bin_start=t0, num_bins=8
         )
         assert series.values[0, 0, 0] == 2.0
         assert series.values[4, 0, 1] == 2.0
 
     def test_count_conservation(self):
         rng = np.random.default_rng(44)
-        stations = StationSet(
-            [Station(i, float(i), 0.0, 0) for i in range(4)],
-            "dock_based",
-            labels=[str(i) for i in range(4)],
-        )
+        stations = dock_set([0] * 4, labels=[str(i) for i in range(4)])
         t0 = datetime(2016, 4, 1)
-        recs = []
+        times, labels = [], []
         for _ in range(200):
             start = t0 + timedelta(minutes=float(rng.uniform(0, 60 * 24)))
-            recs.append(
-                TripRecord(
-                    start,
-                    start + timedelta(minutes=float(rng.uniform(0, 90))),
-                    str(rng.integers(0, 4)),
-                    str(rng.integers(0, 4)),
-                    None,
-                    None,
-                )
-            )
-        series, skipped = build_demand_tensor(recs, stations, timedelta(minutes=30))
+            times.append((start, start + timedelta(minutes=float(rng.uniform(0, 90)))))
+            labels.append((str(rng.integers(0, 4)), str(rng.integers(0, 4))))
+        series, skipped = build_demand_tensor(
+            make_trips(times, labels=labels), stations, timedelta(minutes=30)
+        )
         accepted_events = 400 - skipped
         assert series.values.sum() == accepted_events
         assert series.values[:, :, 0].sum() == 200  # every pickup lands in span
 
     def test_virtual_assignment_by_nearest_centroid(self):
-        stations = StationSet(
-            [Station(0, -74.0, 40.7, 0), Station(1, -73.9, 40.8, 0)], "virtual"
-        )
+        stations = StationSet([-74.0, -73.9], [40.7, 40.8], [0, 0], "virtual")
         t0 = datetime(2016, 4, 1)
-        rec = TripRecord(t0, t0, (-73.999, 40.701), (-73.901, 40.799), None, None)
+        trips = make_trips([(t0, t0)], coords=[((-73.999, 40.701), (-73.901, 40.799))])
         series, _ = build_demand_tensor(
-            [rec], stations, timedelta(minutes=30), bin_start=t0, num_bins=1
+            trips, stations, timedelta(minutes=30), bin_start=t0, num_bins=1
         )
         assert series.values[0, 0, 0] == 1.0
         assert series.values[0, 1, 1] == 1.0
 
     def test_unknown_dock_and_out_of_span_skipped(self):
-        stations = StationSet([Station(0, 0.0, 0.0, 0)], "dock_based", labels=["s"])
+        stations = dock_set([0], labels=["s"])
         t0 = datetime(2016, 4, 1)
-        recs = [
-            TripRecord(t0, t0, "mystery", "s", None, None),
-            TripRecord(t0 + timedelta(days=2), t0 + timedelta(days=2), "s", "s", None, None),
-        ]
+        trips = make_trips(
+            [(t0, t0), (t0 + timedelta(days=2), t0 + timedelta(days=2))],
+            labels=[("mystery", "s"), ("s", "s")],
+        )
         series, skipped = build_demand_tensor(
-            recs, stations, timedelta(minutes=30), bin_start=t0, num_bins=4
+            trips, stations, timedelta(minutes=30), bin_start=t0, num_bins=4
         )
         assert skipped == 3  # unknown pickup + both out-of-span events
         assert series.values.sum() == 1.0  # only the first record's dropoff
 
     def test_whole_bin_count_covers_span(self):
-        stations = StationSet([Station(0, 0.0, 0.0, 0)], "dock_based", labels=["s"])
+        stations = dock_set([0], labels=["s"])
         first = datetime(2016, 4, 1, 0, 5)
         last = datetime(2016, 6, 30, 23, 45)  # 91 days later
-        recs = [
-            TripRecord(first, first, "s", "s", None, None),
-            TripRecord(last, last, "s", "s", None, None),
-        ]
-        series, skipped = build_demand_tensor(recs, stations, timedelta(minutes=30))
+        trips = make_trips([(first, first), (last, last)], labels=[("s", "s"), ("s", "s")])
+        series, skipped = build_demand_tensor(trips, stations, timedelta(minutes=30))
         assert skipped == 0
         assert series.values.shape[0] == 91 * 48
         assert series.bin_start == datetime(2016, 4, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "bin_start, num_bins", [(None, None), (datetime(2016, 4, 2, 1, 30), 40)]
+    )
+    def test_dock_binning_matches_per_event_oracle(self, bin_start, num_bins):
+        rng = np.random.default_rng(50)
+        labels = [str(i) for i in range(12)] + ["x"]
+        stations = dock_set([0] * 9, labels=labels[3:12])  # '0', '1', '2' and 'x' unknown
+        trips = random_trips(rng, 3000, labels)
+        width = timedelta(minutes=30)
+        series, skipped = build_demand_tensor(trips, stations, width, bin_start, num_bins)
+        values, start, oracle_skipped = per_event_oracle(
+            trips, stations, width, bin_start, num_bins
+        )
+        np.testing.assert_array_equal(series.values, values)
+        assert series.bin_start == start
+        assert skipped == oracle_skipped
+        assert 0 < skipped < 6000
+
+    def test_virtual_binning_matches_per_event_oracle(self):
+        rng = np.random.default_rng(51)
+        n = _BLOCK + _BLOCK // 8  # 2n events: more than two blocks
+        trips = random_trips(rng, n)
+        stations = StationSet(
+            rng.uniform(-74.05, -73.85, 12), rng.uniform(40.6, 40.9, 12), [0] * 12, "virtual"
+        )
+        width = timedelta(minutes=45)
+        series, skipped = build_demand_tensor(trips, stations, width)
+        values, start, oracle_skipped = per_event_oracle(trips, stations, width)
+        np.testing.assert_array_equal(series.values, values)
+        assert series.bin_start == start
+        assert skipped == oracle_skipped == 0
 
 
 class TestScaler:

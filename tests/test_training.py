@@ -10,9 +10,7 @@ from ccrnn.graphgen import FactorPair
 from ccrnn.synthetic import ring_demand
 from ccrnn.tensor import Tensor, _topo_order, backward, finite_difference_check
 from ccrnn.training import (
-    AblationRow,
     AdamState,
-    MetricsReport,
     TrainConfig,
     TrainingData,
     ablation_csv,
