@@ -113,12 +113,12 @@ def attention_weights(zs: list[Tensor], gate: Gate) -> np.ndarray:
     return level_weights(node_major, w, gate.score_b.data)[0].T
 
 
-def count_parameters(named: dict[str, Tensor], trainable_only: bool = True) -> int:
-    """Total scalar count over distinct tensors (shared tensors counted once)."""
+def count_parameters(named: dict[str, Tensor]) -> int:
+    """Trainable scalar count over distinct tensors (shared tensors counted once)."""
     seen: set[int] = set()
     total = 0
     for t in named.values():
-        if id(t) in seen or (trainable_only and not t.requires_grad):
+        if id(t) in seen or not t.requires_grad:
             continue
         seen.add(id(t))
         total += t.size

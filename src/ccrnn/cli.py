@@ -12,13 +12,14 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .ccgru import build_model
+from .cgc import count_parameters
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .graphgen import VARIANTS, FactorPair, variant_graph
 from .ingest import (
@@ -46,13 +47,10 @@ from .persist import (
 from .tensor import Tensor
 from .training import (
     TrainingData,
-    ablation_csv,
-    build_variant,
     evaluate,
     history_csv,
     make_windows,
     predict_in_batches,
-    run_ablation,
     train,
 )
 
@@ -101,6 +99,37 @@ def _split_for(config: RunConfig, values: np.ndarray, meta: dict[str, str]):
         config.q,
         config.val_weeks,
         config.test_weeks,
+    )
+
+
+def _graph(config: RunConfig, train_demand: np.ndarray, stations: StationSet):
+    """The variant's starting graph, its epsilon and where that came from.
+
+    `random_init` draws from a child of the seed's stream, so its factors
+    do not repeat the model's first weight draws in `_model`.
+    """
+    return variant_graph(
+        config.variant,
+        train_demand,
+        stations.lons,
+        stations.lats,
+        xi=config.xi,
+        rank=config.rank,
+        epsilon=config.epsilon,
+        rng=np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]),
+    )
+
+
+def _model(config: RunConfig, e1: np.ndarray, e2: np.ndarray, channels: int):
+    """The variant's forecaster around the graph factors, weights seeded by the config."""
+    return build_model(
+        config.variant,
+        FactorPair(e1=Tensor(e1), e2=Tensor(e2)),
+        channels=channels,
+        beta=config.beta,
+        m_layers=config.m_layers,
+        k_hops=config.k_hops,
+        rng=np.random.default_rng(config.seed),
     )
 
 
@@ -168,16 +197,7 @@ def cmd_build_graph(config: RunConfig, out: Path) -> int:
             f"(first few: {flat[:5].tolist()}); retained"
         )
 
-    pair, epsilon, epsilon_source = variant_graph(
-        config.variant,
-        train_demand,
-        stations.lons,
-        stations.lats,
-        xi=config.xi,
-        rank=config.rank,
-        epsilon=config.epsilon,
-        rng=np.random.default_rng(config.seed),
-    )
+    pair, epsilon, epsilon_source = _graph(config, train_demand, stations)
     ckpt = Checkpoint(
         meta={
             "kind": "graph",
@@ -214,17 +234,9 @@ def cmd_train(config: RunConfig, out: Path) -> int:
             f"but the config trains {config.variant} on {stations.n} stations at rank "
             f"{config.rank}; rerun build-graph"
         )
-    model = build_model(
-        config.variant,
-        FactorPair(e1=Tensor(e1), e2=Tensor(e2)),
-        channels=std_series.shape[2],
-        beta=config.beta,
-        m_layers=config.m_layers,
-        k_hops=config.k_hops,
-        rng=np.random.default_rng(config.seed),
-    )
+    model = _model(config, e1, e2, channels=std_series.shape[2])
     data = TrainingData.from_series(std_series, split)
-    result = train(model, data, config.train_config(), log=print)
+    result = train(model, data, config, log=print)
 
     ckpt = Checkpoint(
         meta={
@@ -328,36 +340,30 @@ def cmd_predict(config: RunConfig, out: Path) -> int:
 
 
 def cmd_ablate(config: RunConfig, out: Path) -> int:
+    """Every variant through the build-graph, train and evaluate path; writes ablation.csv."""
     values, meta, stations, split, scaler, std_series = _standardized(config, out)
     data = TrainingData.from_series(std_series, split)
     tx, ty = make_windows(std_series, split.test, split.p, split.q)
     train_demand = values[split.train.start : split.train.stop]
 
-    def make_model(tag: str):
-        return build_variant(
-            tag,
-            training_demand=train_demand,
-            channels=std_series.shape[2],
-            xi=config.xi,
-            rank=config.rank,
-            m_layers=config.m_layers,
-            k_hops=config.k_hops,
-            beta=config.beta,
-            seed=config.seed,
-            lons=stations.lons,
-            lats=stations.lats,
-            epsilon=config.epsilon,
+    lines = ["variant,rmse,mae,pcc,best_val_rmse,parameters"]
+    for tag in VARIANTS:
+        print(f"=== variant {tag} ===")
+        run = replace(config, variant=tag)
+        pair, _, _ = _graph(run, train_demand, stations)
+        model = _model(run, pair.e1.data, pair.e2.data, channels=std_series.shape[2])
+        result = train(model, data, run, log=print)
+        report = evaluate(model, tx, ty, scaler=scaler)
+        params = count_parameters(model.named_parameters())
+        lines.append(
+            f"{tag},{report.rmse:.10g},{report.mae:.10g},{report.pcc:.10g},"
+            f"{result.best_val_rmse:.10g},{params}"
         )
-
-    rows = run_ablation(
-        list(VARIANTS), make_model, data, tx, ty, config.train_config(), scaler=scaler, log=print
-    )
-    (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
-    for row in rows:
         print(
-            f"{row.variant:14s} rmse={row.rmse:.6f} mae={row.mae:.6f} "
-            f"pcc={row.pcc:.6f} params={row.parameters}"
+            f"{tag:14s} rmse={report.rmse:.6f} mae={report.mae:.6f} "
+            f"pcc={report.pcc:.6f} params={params}"
         )
+    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

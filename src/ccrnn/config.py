@@ -13,7 +13,6 @@ from datetime import timedelta
 
 from .graphgen import VARIANTS
 from .ingest import ColumnSchema, StudyRect
-from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -131,16 +130,6 @@ class RunConfig:
         if self.rect is None:
             return None
         return StudyRect(*self.rect)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            sampling_decay=self.sampling_decay,
-            patience=self.patience,
-        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

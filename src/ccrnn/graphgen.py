@@ -5,7 +5,7 @@ with a truncated SVD, pairwise station similarity becomes a Gaussian-kernel
 adjacency, the adjacency is row-normalized, and a second truncated SVD splits
 it into the source/target node embeddings that the model then trains.
 `variant_graph` picks the starting graph of each model variant, including
-the alternative initializations used by the ablation harness.
+the alternative initializations that `ccrnn ablate` compares.
 """
 
 from __future__ import annotations

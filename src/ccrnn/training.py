@@ -1,4 +1,4 @@
-"""Training loop, metrics, Adam, the historical-average baseline, and ablations.
+"""Training loop, metrics, Adam, and the historical-average baseline.
 
 The loss is RMSE on the standardized scale; reported metrics are computed on
 the original count scale after inverting the scaler. Training feeds the
@@ -14,30 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ccgru import Seq2Seq, build_model, sampling_probability
-from .cgc import count_parameters
-from .graphgen import VARIANTS, variant_graph
+from .ccgru import Seq2Seq, sampling_probability
+from .config import RunConfig
 from .tensor import GradientMap, Tensor, add, backward, mul, no_grad, sqrt, sub, tmean
 
 LOSS_EPS = 1e-8
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 5e-4
-    epochs: int = 50
-    batch_size: int = 64
-    seed: int = 0
-    sampling_decay: float = 2000.0
-    patience: int = 10
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,6 @@ class TrainResult:
     history: list[EpochRecord]
     best_val_rmse: float
     best_epoch: int
-    best_params: dict[str, np.ndarray]
     iterations: int
 
 
@@ -244,7 +224,7 @@ def _validation_rmse(model: Seq2Seq, data: TrainingData) -> float:
     return rmse(preds, data.val_y)
 
 
-def train(model: Seq2Seq, data: TrainingData, config: TrainConfig, log=None) -> TrainResult:
+def train(model: Seq2Seq, data: TrainingData, config: RunConfig, log=None) -> TrainResult:
     """Mini-batch Adam with scheduled sampling and early stopping.
 
     All randomness (batch order, teacher-forcing draws) comes from one
@@ -314,8 +294,8 @@ def train(model: Seq2Seq, data: TrainingData, config: TrainConfig, log=None) -> 
             break
 
     for name, p in params.items():
-        p.data = best_params[name].copy()
-    return TrainResult(history, float(best_val), best_epoch, best_params, iteration)
+        p.data = best_params[name]
+    return TrainResult(history, float(best_val), best_epoch, iteration)
 
 
 def history_csv(history: list[EpochRecord]) -> str:
@@ -392,95 +372,3 @@ def evaluate_ha(
     """The historical-average baseline scored exactly like a model."""
     preds = ha_baseline(np.asarray(windows, dtype=np.float64), targets.shape[1])
     return report_from_predictions(preds, targets, scaler, bin_hours)
-
-
-# ---------------------------------------------------------------------------
-# ablations
-# ---------------------------------------------------------------------------
-
-
-def build_variant(
-    variant: str,
-    *,
-    training_demand: np.ndarray,
-    channels: int,
-    xi: int,
-    rank: int,
-    m_layers: int,
-    k_hops: int,
-    beta: int,
-    seed: int,
-    lons: np.ndarray,
-    lats: np.ndarray,
-    epsilon: float | None = None,
-) -> Seq2Seq:
-    """Construct a model whose graph initialization matches the variant tag.
-
-    `training_demand` must be the original-scale demand over the training
-    range only; graph construction never sees validation or test bins. One
-    generator seeded with `seed` draws the graph (for `random_init`) and then
-    the model weights.
-    """
-    rng = np.random.default_rng(seed)
-    base, _, _ = variant_graph(
-        variant, training_demand, lons, lats, xi=xi, rank=rank, epsilon=epsilon, rng=rng
-    )
-    return build_model(variant, base, channels, beta, m_layers, k_hops, rng)
-
-
-@dataclass
-class AblationRow:
-    variant: str
-    rmse: float
-    mae: float
-    pcc: float
-    best_val_rmse: float
-    parameters: int
-
-
-def run_ablation(
-    variants: list[str],
-    make_model,
-    data: TrainingData,
-    test_x: np.ndarray,
-    test_y: np.ndarray,
-    config: TrainConfig,
-    scaler=None,
-    log=None,
-) -> list[AblationRow]:
-    """Train and score each variant under identical seeds and config.
-
-    `make_model(tag)` must build the variant from scratch (fresh seeded rng)
-    so runs differ only in the graph construction under test.
-    """
-    rows = []
-    for tag in variants:
-        if tag not in VARIANTS:
-            raise ValueError(f"unknown variant {tag!r}, expected one of {VARIANTS}")
-        if log is not None:
-            log(f"=== variant {tag} ===")
-        model = make_model(tag)
-        result = train(model, data, config, log=log)
-        report = evaluate(model, test_x, test_y, scaler)
-        rows.append(
-            AblationRow(
-                variant=tag,
-                rmse=report.rmse,
-                mae=report.mae,
-                pcc=report.pcc,
-                best_val_rmse=result.best_val_rmse,
-                parameters=count_parameters(model.named_parameters()),
-            )
-        )
-    return rows
-
-
-def ablation_csv(rows: list[AblationRow]) -> str:
-    buf = io.StringIO()
-    buf.write("variant,rmse,mae,pcc,best_val_rmse,parameters\n")
-    for r in rows:
-        buf.write(
-            f"{r.variant},{r.rmse:.10g},{r.mae:.10g},{r.pcc:.10g},"
-            f"{r.best_val_rmse:.10g},{r.parameters}\n"
-        )
-    return buf.getvalue()

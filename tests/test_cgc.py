@@ -309,7 +309,6 @@ class TestParameterCensus:
         rng = np.random.default_rng(54)
         graph, _ = census(rng, 5, 2, 2, coupled=True, trainable=False)
         assert count_parameters(graph) == 2 * (2 + 1)
-        assert count_parameters(graph, trainable_only=False) == 2 * 5 * 2 + 2 * 3
 
 
 class TestGradients:

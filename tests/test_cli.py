@@ -13,8 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ccrnn.persist
-from ccrnn.cli import main
+from ccrnn.cgc import count_parameters
+from ccrnn.cli import _restore_run, main
 from ccrnn.config import ConfigError, RunConfig, apply_overrides, load_config
+from ccrnn.graphgen import VARIANTS
 from ccrnn.persist import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -523,6 +525,32 @@ class TestPipeline:
         )
         graph = load_checkpoint(tmp_path / "run" / "graph.ckpt")
         assert graph.meta["variant"] == "distance_init"
+
+    def test_random_init_graph_does_not_repeat_the_weight_draws(self, tmp_path):
+        """The random graph and the model's first filter come from different streams."""
+        config_path, _ = write_config(tmp_path, variant="random_init")
+        run_pipeline(config_path, ("ingest", "build-graph", "train"))
+        out = tmp_path / "run"
+        graph = load_checkpoint(out / "graph.ckpt").tensors
+        draws = np.concatenate([graph["e1"].ravel(), graph["e2"].ravel()])
+        weights = load_checkpoint(out / "model.ckpt").tensors["encoder.reset.layer0.theta0"]
+        first = weights.ravel()[: draws.size]
+        assert abs(np.corrcoef(draws, first)[0, 1]) < 0.9
+
+    def test_ablate_rows_equal_the_per_variant_pipeline(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        run_pipeline(config_path, ("ingest", "ablate"))
+        out = tmp_path / "run"
+        rows = (out / "ablation.csv").read_text().strip().split("\n")
+        assert rows[0] == "variant,rmse,mae,pcc,best_val_rmse,parameters"
+        assert [row.split(",")[0] for row in rows[1:]] == list(VARIANTS)
+        for variant, row in zip(VARIANTS, rows[1:]):
+            for command in ("build-graph", "train", "evaluate"):
+                assert main([command, "--config", str(config_path), "--variant", variant]) == 0
+            overall = (out / "metrics.csv").read_text().split("\n")[1].split(",")[2:]
+            best_val = float(load_checkpoint(out / "model.ckpt").meta["best_val_rmse"])
+            params = count_parameters(_restore_run(out)[1].named_parameters())
+            assert row == ",".join([variant, *overall, f"{best_val:.10g}", str(params)])
 
 
 class TestCliErrors:

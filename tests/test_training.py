@@ -1,21 +1,19 @@
-"""Metrics, Adam, the training loop, evaluation, and the ablation harness."""
+"""Metrics, Adam, the training loop, evaluation, and the variants' models."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrnn.ccgru import build_seq2seq
-from ccrnn.graphgen import FactorPair
+from ccrnn.ccgru import build_model, build_seq2seq
+from ccrnn.config import RunConfig
+from ccrnn.graphgen import FactorPair, variant_graph
 from ccrnn.synthetic import ring_demand
 from ccrnn.tensor import Tensor, _topo_order, backward, finite_difference_check
 from ccrnn.training import (
     AdamState,
-    TrainConfig,
     TrainingData,
-    ablation_csv,
     adam_step,
-    build_variant,
     evaluate,
     evaluate_ha,
     ha_baseline,
@@ -24,9 +22,9 @@ from ccrnn.training import (
     mae,
     make_windows,
     pcc,
+    predict_in_batches,
     report_from_predictions,
     rmse,
-    run_ablation,
     train,
 )
 
@@ -187,20 +185,20 @@ def tiny_data(seed=3, n=6, t=120, p=4, q=4):
 class TestTrainLoop:
     def test_zero_hop_model_trains(self):
         """At K=0 the factors get a zero gradient, not none, so Adam can step."""
-        config = TrainConfig(epochs=1, batch_size=1000, seed=0, patience=10)
+        config = RunConfig(epochs=1, batch_size=1000, seed=0, patience=10)
         result = train(tiny_model(k=0), tiny_data(t=40), config)
         assert result.iterations == 1
 
     def test_single_epoch_single_batch_accounting(self):
         data = tiny_data(t=40)
-        config = TrainConfig(epochs=1, batch_size=1000, seed=0, patience=10)
+        config = RunConfig(epochs=1, batch_size=1000, seed=0, patience=10)
         result = train(tiny_model(), data, config)
         assert result.iterations == 1
         assert len(result.history) == 1
         assert result.history[0].epoch == 1
 
     def test_fixed_seed_reproduces_history_bitwise(self):
-        config = TrainConfig(epochs=3, batch_size=16, seed=11, patience=10)
+        config = RunConfig(epochs=3, batch_size=16, seed=11, patience=10)
         histories = []
         for _ in range(2):
             result = train(tiny_model(seed=2), tiny_data(), config)
@@ -209,7 +207,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_learnable_signal(self):
         data = tiny_data(t=240)
-        config = TrainConfig(
+        config = RunConfig(
             learning_rate=5e-3, epochs=4, batch_size=32, seed=1, patience=10
         )
         result = train(tiny_model(seed=4), data, config)
@@ -217,11 +215,11 @@ class TestTrainLoop:
 
     def test_model_ends_holding_best_parameters(self):
         data = tiny_data(t=80)
-        config = TrainConfig(epochs=3, batch_size=32, seed=5, patience=10)
+        config = RunConfig(epochs=3, batch_size=32, seed=5, patience=10)
         model = tiny_model(seed=6)
         result = train(model, data, config)
-        for name, p in model.named_parameters().items():
-            np.testing.assert_array_equal(p.data, result.best_params[name])
+        val = predict_in_batches(model, data.val_x, data.val_y.shape[1])
+        assert rmse(val, data.val_y) == result.best_val_rmse
         assert result.best_epoch == max(
             (r.epoch for r in result.history if r.improved), default=0
         )
@@ -229,7 +227,7 @@ class TestTrainLoop:
 
     def test_early_stop_after_patience_stale_epochs(self):
         data = tiny_data(t=80)
-        config = TrainConfig(epochs=60, batch_size=32, seed=7, patience=2)
+        config = RunConfig(epochs=60, batch_size=32, seed=7, patience=2)
         result = train(tiny_model(seed=8), data, config)
         if len(result.history) < 60:
             assert all(not r.improved for r in result.history[-2:])
@@ -237,13 +235,13 @@ class TestTrainLoop:
     def test_nan_input_aborts_with_batch_index(self):
         data = tiny_data(t=60)
         data.train_x = np.full_like(data.train_x, np.nan)
-        config = TrainConfig(epochs=1, batch_size=1000, seed=0)
+        config = RunConfig(epochs=1, batch_size=1000, seed=0)
         with pytest.raises(RuntimeError, match="batch 0"):
             train(tiny_model(), data, config)
 
     def test_sampling_prob_recorded_decays(self):
         data = tiny_data(t=120)
-        config = TrainConfig(epochs=3, batch_size=8, seed=9, sampling_decay=10.0, patience=10)
+        config = RunConfig(epochs=3, batch_size=8, seed=9, sampling_decay=10.0, patience=10)
         result = train(tiny_model(seed=10), data, config)
         probs = [r.sampling_prob for r in result.history]
         assert probs == sorted(probs, reverse=True)
@@ -251,7 +249,7 @@ class TestTrainLoop:
 
     def test_history_csv_layout(self):
         data = tiny_data(t=40)
-        result = train(tiny_model(), data, TrainConfig(epochs=1, batch_size=64, seed=0))
+        result = train(tiny_model(), data, RunConfig(epochs=1, batch_size=64, seed=0))
         text = history_csv(result.history)
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_rmse,sampling_prob,improved"
@@ -400,19 +398,12 @@ class TestVariants:
         self.dataset = ring_demand(n_stations=8, t_bins=200, seed=13)
 
     def build(self, tag):
-        return build_variant(
-            tag,
-            training_demand=self.dataset.values,
-            channels=2,
-            xi=4,
-            rank=3,
-            m_layers=2,
-            k_hops=1,
-            beta=4,
-            seed=21,
-            lons=self.dataset.lons,
-            lats=self.dataset.lats,
+        rng = np.random.default_rng(21)
+        data = self.dataset
+        base, _, _ = variant_graph(
+            tag, data.values, data.lons, data.lats, xi=4, rank=3, epsilon=None, rng=rng
         )
+        return build_model(tag, base, channels=2, beta=4, m_layers=2, k_hops=1, rng=rng)
 
     def test_all_variants_construct(self):
         for tag in ("full", "no_adaptive", "no_coupling", "random_init", "distance_init", "pcc_init"):
@@ -440,54 +431,3 @@ class TestVariants:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
             self.build("dropout")
-
-
-class TestAblationHarness:
-    def test_single_variant_single_row(self):
-        dataset = ring_demand(n_stations=6, t_bins=160, seed=14)
-        series = dataset.values
-        mean = series.mean(axis=(0, 1))
-        std = series.std(axis=(0, 1))
-        std_series = (series - mean) / std
-        tx, ty = make_windows(std_series, range(0, 100), 4, 4)
-        vx, vy = make_windows(std_series, range(100, 130), 4, 4)
-        ex, ey = make_windows(std_series, range(130, 160), 4, 4)
-        data = TrainingData(tx, ty, vx, vy)
-
-        def make_model(tag):
-            return build_variant(
-                tag,
-                training_demand=series[:100],
-                channels=2,
-                xi=3,
-                rank=2,
-                m_layers=2,
-                k_hops=1,
-                beta=4,
-                seed=5,
-                lons=dataset.lons,
-                lats=dataset.lats,
-            )
-
-        config = TrainConfig(epochs=1, batch_size=64, seed=5)
-        rows = run_ablation(["full"], make_model, data, ex, ey, config)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.variant == "full"
-        assert row.rmse >= row.mae >= 0.0
-        assert row.parameters > 0
-
-        csv = ablation_csv(rows)
-        assert csv.startswith("variant,rmse,mae,pcc,best_val_rmse,parameters\n")
-        assert csv.strip().split("\n")[1].startswith("full,")
-
-    def test_unknown_variant_rejected_before_training(self):
-        with pytest.raises(ValueError, match="unknown variant"):
-            run_ablation(
-                ["mystery"],
-                lambda tag: None,
-                TrainingData(*(np.zeros((1, 1, 1, 1)),) * 4),
-                np.zeros((1, 1, 1, 1)),
-                np.zeros((1, 1, 1, 1)),
-                TrainConfig(epochs=1),
-            )
