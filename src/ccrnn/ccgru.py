@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgc import Gate, aggregate_levels, cgc_forward, layer_factors
+from .config import RunConfig
 from .graphgen import FactorPair
 from .tensor import ShapeError, Tensor, add, concat, matmul, mul, sigmoid, sub, take, tanh, transpose
 
@@ -295,25 +296,16 @@ def build_seq2seq(
     return Seq2Seq(encoder=encoder, decoder=decoder, projection=projection)
 
 
-def build_model(
-    variant: str,
-    base: FactorPair,
-    channels: int,
-    beta: int,
-    m_layers: int,
-    k_hops: int,
-    rng: np.random.Generator,
-) -> Seq2Seq:
-    """The forecaster of a graph variant, built around its base factors.
+def build_model(config: RunConfig, e1: np.ndarray, e2: np.ndarray, channels: int) -> Seq2Seq:
+    """The config's forecaster around graph factors `e1`, `e2`, weights seeded by the config.
 
     `no_adaptive` freezes the base factors and `no_coupling` gives every layer
     its own copy of them; every other variant trains one coupled pair.
     """
-    trainable = variant != "no_adaptive"
-    base = FactorPair(
-        e1=Tensor(base.e1.data, requires_grad=trainable),
-        e2=Tensor(base.e2.data, requires_grad=trainable),
-    )
+    trainable = config.variant != "no_adaptive"
+    base = FactorPair(e1=Tensor(e1, requires_grad=trainable), e2=Tensor(e2, requires_grad=trainable))
+    rng = np.random.default_rng(config.seed)
     return build_seq2seq(
-        channels, beta, m_layers, k_hops, base, rng, coupled=variant != "no_coupling"
+        channels, config.beta, config.m_layers, config.k_hops, base, rng,
+        coupled=config.variant != "no_coupling",
     )

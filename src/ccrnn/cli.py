@@ -9,6 +9,7 @@ carry no timestamps, so reruns are byte-identical. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import contextmanager
@@ -20,8 +21,8 @@ import numpy as np
 
 from .ccgru import build_model
 from .cgc import count_parameters
-from .config import ConfigError, RunConfig, apply_overrides, load_config
-from .graphgen import VARIANTS, FactorPair, variant_graph
+from .config import ConfigError, RunConfig, apply_overrides, config_from_mapping, load_config
+from .graphgen import VARIANTS, variant_graph
 from .ingest import (
     SchemaError,
     StationSet,
@@ -37,14 +38,15 @@ from .ingest import (
 )
 from .persist import (
     Checkpoint,
+    FormatError,
     load_checkpoint,
+    persist,
     read_demand_blob,
     read_sidecar,
     save_checkpoint,
     write_demand_blob,
     write_sidecar,
 )
-from .tensor import Tensor
 from .training import (
     TrainingData,
     evaluate,
@@ -81,13 +83,29 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
+def _write_text(path: Path, text: str) -> None:
+    persist(path, text.encode("utf-8"))
+
+
 def _load_demand(out: Path):
+    """The demand tensor, its sidecar and its stations, which must describe one ingest."""
     values = read_demand_blob(out / DEMAND_BLOB)
     meta = read_sidecar(out / DEMAND_META)
     stations = StationSet.from_csv(
         (out / STATIONS_CSV).read_text(encoding="utf-8"), kind=meta["kind"]
     )
+    recorded = tuple(meta.get(key) for key in ("bins", "stations", "channels"))
+    if recorded != tuple(map(str, values.shape)) or stations.n != values.shape[1]:
+        raise FormatError(
+            f"{DEMAND_BLOB} holds {values.shape}, {DEMAND_META} says "
+            f"(bins, stations, channels) = {recorded} and {STATIONS_CSV} lists "
+            f"{stations.n} stations; rerun ingest"
+        )
     return values, meta, stations
+
+
+def _bin_hours(meta: dict[str, str]) -> float:
+    return int(meta["bin_width_seconds"]) / 3600.0
 
 
 def _split_for(config: RunConfig, values: np.ndarray, meta: dict[str, str]):
@@ -106,7 +124,7 @@ def _graph(config: RunConfig, train_demand: np.ndarray, stations: StationSet):
     """The variant's starting graph, its epsilon and where that came from.
 
     `random_init` draws from a child of the seed's stream, so its factors
-    do not repeat the model's first weight draws in `_model`.
+    do not repeat the model's first weight draws in `build_model`.
     """
     return variant_graph(
         config.variant,
@@ -117,19 +135,6 @@ def _graph(config: RunConfig, train_demand: np.ndarray, stations: StationSet):
         rank=config.rank,
         epsilon=config.epsilon,
         rng=np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]),
-    )
-
-
-def _model(config: RunConfig, e1: np.ndarray, e2: np.ndarray, channels: int):
-    """The variant's forecaster around the graph factors, weights seeded by the config."""
-    return build_model(
-        config.variant,
-        FactorPair(e1=Tensor(e1), e2=Tensor(e2)),
-        channels=channels,
-        beta=config.beta,
-        m_layers=config.m_layers,
-        k_hops=config.k_hops,
-        rng=np.random.default_rng(config.seed),
     )
 
 
@@ -177,7 +182,7 @@ def cmd_ingest(config: RunConfig, out: Path) -> int:
             "events_skipped": str(skipped),
         },
     )
-    (out / STATIONS_CSV).write_text(stations.to_csv(), encoding="utf-8")
+    _write_text(out / STATIONS_CSV, stations.to_csv())
     print(
         f"demand tensor {series.values.shape} "
         f"({tally.accepted} records, {skipped} events skipped)"
@@ -234,7 +239,7 @@ def cmd_train(config: RunConfig, out: Path) -> int:
             f"but the config trains {config.variant} on {stations.n} stations at rank "
             f"{config.rank}; rerun build-graph"
         )
-    model = _model(config, e1, e2, channels=std_series.shape[2])
+    model = build_model(config, e1, e2, channels=std_series.shape[2])
     data = TrainingData.from_series(std_series, split)
     result = train(model, data, config, log=print)
 
@@ -249,14 +254,14 @@ def cmd_train(config: RunConfig, out: Path) -> int:
             "bin_start": meta["bin_start"],
             "bin_width_seconds": meta["bin_width_seconds"],
         },
-        config={k: _cfg_str(v) for k, v in asdict(config).items()},
+        config={key: json.dumps(value) for key, value in asdict(config).items()},
         scaler_mean=scaler.mean,
         scaler_std=scaler.std,
         stations_csv=stations.to_csv(),
         tensors={name: p.data for name, p in model.named_parameters().items()},
     )
     save_checkpoint(out / MODEL_CKPT, ckpt)
-    (out / "history.csv").write_text(history_csv(result.history), encoding="utf-8")
+    _write_text(out / "history.csv", history_csv(result.history))
     print(
         f"best val_rmse {result.best_val_rmse:.6f} at epoch {result.best_epoch} "
         f"({result.iterations} iterations)"
@@ -264,32 +269,22 @@ def cmd_train(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cfg_str(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return ",".join(repr(float(v)) for v in value)
-    return str(value)
-
-
 def _restore_run(out: Path):
-    """The trained model, its checkpoint and scaler, and the demand series.
+    """The trained checkpoint, its config and model, the scaler and the demand series.
 
-    The model's shape comes from the checkpoint alone; its parameters must
-    match the rebuilt model name for name and shape.
+    The model is built from the config stored in the checkpoint, which is
+    validated as a config file is; its parameters must match the rebuilt
+    model name for name and shape.
     """
     ckpt = load_checkpoint(out / MODEL_CKPT)
-    cfg = ckpt.config
-    zeros = np.zeros((int(ckpt.meta["stations"]), int(cfg["rank"])))
-    model = build_model(
-        cfg["variant"],
-        FactorPair(e1=Tensor(zeros), e2=Tensor(zeros)),
-        channels=len(ckpt.tensors.get("proj.bias", ())),
-        beta=int(cfg["beta"]),
-        m_layers=int(cfg["m_layers"]),
-        k_hops=int(cfg["k_hops"]),
-        rng=np.random.default_rng(0),
-    )
+    try:
+        config = config_from_mapping(
+            {key: json.loads(value) for key, value in ckpt.config.items()}, source=MODEL_CKPT
+        )
+    except (json.JSONDecodeError, ConfigError) as e:
+        raise FormatError(f"{MODEL_CKPT} holds an unreadable config ({e}); rerun train") from e
+    zeros = np.zeros((int(ckpt.meta["stations"]), config.rank))
+    model = build_model(config, zeros, zeros, channels=len(ckpt.tensors.get("proj.bias", ())))
     params = model.named_parameters()
     if set(params) != set(ckpt.tensors):
         missing = sorted(set(params) ^ set(ckpt.tensors))[:5]
@@ -300,28 +295,23 @@ def _restore_run(out: Path):
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
         p.data = arr.copy()
     scaler = Scaler(mean=ckpt.scaler_mean, std=ckpt.scaler_std)
-    return ckpt, model, scaler, read_demand_blob(out / DEMAND_BLOB)
+    return ckpt, config, model, scaler, read_demand_blob(out / DEMAND_BLOB)
 
 
 def cmd_evaluate(config: RunConfig, out: Path) -> int:
-    ckpt, model, scaler, values = _restore_run(out)
-    cfg, width_s = ckpt.config, int(ckpt.meta["bin_width_seconds"])
-    split = split_by_bins(
-        values.shape[0],
-        bins_per_week(width_s),
-        *(int(cfg[key]) for key in ("p", "q", "val_weeks", "test_weeks")),
-    )
+    ckpt, cfg, model, scaler, values = _restore_run(out)
+    split = _split_for(cfg, values, ckpt.meta)
     tx, ty = make_windows(scaler.apply(values), split.test, split.p, split.q)
-    report = evaluate(model, tx, ty, scaler=scaler, bin_hours=width_s / 3600.0)
-    (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "metrics.txt").write_text(report.summary(), encoding="utf-8")
+    report = evaluate(model, tx, ty, scaler=scaler, bin_hours=_bin_hours(ckpt.meta))
+    _write_text(out / "metrics.csv", report.to_csv())
+    _write_text(out / "metrics.txt", report.summary())
     print(report.summary(), end="")
     return 0
 
 
 def cmd_predict(config: RunConfig, out: Path) -> int:
-    ckpt, model, scaler, values = _restore_run(out)
-    p, q = int(ckpt.config["p"]), int(ckpt.config["q"])
+    ckpt, cfg, model, scaler, values = _restore_run(out)
+    p, q = cfg.p, cfg.q
     window = scaler.apply(values[-p:])[None]  # (1, P, N, d)
     pred = scaler.invert(predict_in_batches(model, window, q))[0]  # (Q, N, d)
 
@@ -334,7 +324,7 @@ def cmd_predict(config: RunConfig, out: Path) -> int:
         for station in range(pred.shape[1]):
             counts = ",".join(repr(v) for v in pred[step, station].tolist())
             lines.append(f"{stamp},{station},{counts}")
-    (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "forecast.csv", "\n".join(lines) + "\n")
     print(f"forecast.csv: {q * pred.shape[1]} rows")
     return 0
 
@@ -351,9 +341,9 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
         print(f"=== variant {tag} ===")
         run = replace(config, variant=tag)
         pair, _, _ = _graph(run, train_demand, stations)
-        model = _model(run, pair.e1.data, pair.e2.data, channels=std_series.shape[2])
+        model = build_model(run, pair.e1.data, pair.e2.data, channels=std_series.shape[2])
         result = train(model, data, run, log=print)
-        report = evaluate(model, tx, ty, scaler=scaler)
+        report = evaluate(model, tx, ty, scaler=scaler, bin_hours=_bin_hours(meta))
         params = count_parameters(model.named_parameters())
         lines.append(
             f"{tag},{report.rmse:.10g},{report.mae:.10g},{report.pcc:.10g},"
@@ -363,7 +353,7 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
             f"{tag:14s} rmse={report.rmse:.6f} mae={report.mae:.6f} "
             f"pcc={report.pcc:.6f} params={params}"
         )
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "ablation.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -423,7 +413,7 @@ def main(argv=None) -> int:
     out = Path(config.out_dir)
     try:
         with output_lock(out):
-            (out / "config.json").write_text(config.to_json(), encoding="utf-8")
+            _write_text(out / "config.json", config.to_json())
             return _COMMANDS[args.command](config, out)
     except (ConfigError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,7 @@ convolution layers of order 3, hidden width 25.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from datetime import timedelta
 
@@ -67,6 +68,10 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{key} must be finite, got {value}")
         positive = {
             "bin_minutes": self.bin_minutes,
             "keep_stations": self.keep_stations,

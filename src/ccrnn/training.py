@@ -319,15 +319,16 @@ def evaluate(
     windows: np.ndarray,
     targets: np.ndarray,
     scaler=None,
-    bin_hours: float = 0.5,
+    *,
+    bin_hours: float,
 ) -> MetricsReport:
     """Free-running decode; metrics on the original scale when a scaler is given."""
     preds = predict_in_batches(model, windows, targets.shape[1])
-    return report_from_predictions(preds, targets, scaler, bin_hours)
+    return report_from_predictions(preds, targets, scaler, bin_hours=bin_hours)
 
 
 def report_from_predictions(
-    preds: np.ndarray, targets: np.ndarray, scaler=None, bin_hours: float = 0.5
+    preds: np.ndarray, targets: np.ndarray, scaler=None, *, bin_hours: float
 ) -> MetricsReport:
     truth = np.asarray(targets, dtype=np.float64)
     if scaler is not None:
@@ -367,8 +368,8 @@ def ha_baseline(history: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def evaluate_ha(
-    windows: np.ndarray, targets: np.ndarray, scaler=None, bin_hours: float = 0.5
+    windows: np.ndarray, targets: np.ndarray, scaler=None, *, bin_hours: float
 ) -> MetricsReport:
     """The historical-average baseline scored exactly like a model."""
     preds = ha_baseline(np.asarray(windows, dtype=np.float64), targets.shape[1])
-    return report_from_predictions(preds, targets, scaler, bin_hours)
+    return report_from_predictions(preds, targets, scaler, bin_hours=bin_hours)

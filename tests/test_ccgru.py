@@ -15,6 +15,7 @@ from ccrnn.ccgru import (
     sampling_probability,
 )
 from ccrnn.cgc import count_parameters
+from ccrnn.config import RunConfig
 from ccrnn.graphgen import FactorPair
 from ccrnn.tensor import (
     ShapeError,
@@ -375,8 +376,8 @@ class TestParameterRegistry:
     @pytest.mark.parametrize("variant", ["full", "no_coupling"])
     def test_checkpoint_layout_is_pinned(self, variant):
         """The checkpoint names, their order and shapes at N=3, L=2, M=2, K=1."""
-        base = FactorPair(e1=Tensor(np.ones((3, 2))), e2=Tensor(np.ones((3, 2))))
-        model = build_model(variant, base, 1, 2, 2, 1, np.random.default_rng(0))
+        config = RunConfig(variant=variant, rank=2, beta=2, m_layers=2, k_hops=1)
+        model = build_model(config, np.ones((3, 2)), np.ones((3, 2)), channels=1)
         if variant == "full":
             graph = [("graph.e1", (3, 2)), ("graph.e2", (3, 2)),
                      ("graph.coupling0.w", (2, 2)), ("graph.coupling0.b", (2,))]

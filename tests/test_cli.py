@@ -3,7 +3,9 @@
 import errno
 import json
 import math
+import shutil
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -288,6 +290,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", math.nan),
+            ("epsilon", math.inf),
+            ("sampling_decay", math.inf),
+            ("dc_quantile", math.nan),
+            ("p", math.inf),
+            ("rect", [-75.0, 40.0, math.nan, 41.0]),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        raw = {"pickup_lon_col": "a", "pickup_lat_col": "b",
+               "dropoff_lon_col": "c", "dropoff_lat_col": "d", key: value}
+        path.write_text(json.dumps(raw))  # NaN and Infinity, which json.load accepts
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(path)
+
 
 # ---------------------------------------------------------------------------
 # pipeline fixtures: four docks, twelve-hour bins, four synthetic weeks
@@ -549,8 +570,118 @@ class TestPipeline:
                 assert main([command, "--config", str(config_path), "--variant", variant]) == 0
             overall = (out / "metrics.csv").read_text().split("\n")[1].split(",")[2:]
             best_val = float(load_checkpoint(out / "model.ckpt").meta["best_val_rmse"])
-            params = count_parameters(_restore_run(out)[1].named_parameters())
+            params = count_parameters(_restore_run(out)[2].named_parameters())
             assert row == ",".join([variant, *overall, f"{best_val:.10g}", str(params)])
+
+
+def _old_config_section(raw: dict) -> dict:
+    """A `[config]` as train wrote it before it stored JSON values."""
+    def text(value):
+        if value is None:
+            return ""
+        if isinstance(value, list):
+            return ",".join(repr(float(v)) for v in value)
+        return str(value)
+
+    return {key: text(value) for key, value in asdict(RunConfig(**raw)).items()}
+
+
+class TestStoredConfig:
+    """model.ckpt carries the RunConfig that trained it; evaluate and predict read only that."""
+
+    def test_config_round_trips_through_the_checkpoint(self, tmp_path):
+        ingest_path, _ = write_config(tmp_path)
+        trained_path, _ = write_config(
+            tmp_path, name="trained.json", trips_csv=None, epsilon=0.75,
+            rect=[-75.0, 40.0, -73.0, 41.5],
+        )
+        run_pipeline(ingest_path, ("ingest",))
+        run_pipeline(trained_path, ("build-graph", "train"))
+        trained = load_config(trained_path)
+        assert (trained.trips_csv, trained.epsilon) == (None, 0.75)
+        assert _restore_run(tmp_path / "run")[1] == trained
+
+    @pytest.mark.parametrize("damage", ["old_encoding", "beta_zero"])
+    @pytest.mark.parametrize("command, output", [("evaluate", "metrics.csv"),
+                                                 ("predict", "forecast.csv")])
+    def test_bad_stored_config_exits_1(self, tmp_path, capsys, damage, command, output):
+        config_path, raw = write_config(tmp_path)
+        run_pipeline(config_path, ("ingest", "build-graph", "train"))
+        path = tmp_path / "run" / "model.ckpt"
+        ckpt = load_checkpoint(path)
+        if damage == "old_encoding":
+            ckpt.config = _old_config_section(raw)
+        else:
+            ckpt.config["beta"] = "0"
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err and "rerun train" in err
+        assert not (tmp_path / "run" / output).exists()
+
+    def test_evaluate_and_predict_ignore_the_given_config(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        other_path, _ = write_config(
+            tmp_path, name="other.json", p=6, q=2, beta=8, m_layers=3, k_hops=1,
+            val_weeks=0, test_weeks=2, variant="no_coupling", seed=5,
+        )
+        out = tmp_path / "run"
+        outputs = ("metrics.csv", "metrics.txt", "forecast.csv")
+        run_pipeline(config_path, ("ingest", "build-graph", "train", "evaluate", "predict"))
+        trained = {name: (out / name).read_bytes() for name in outputs}
+        for args in (["--config", str(other_path)],
+                     ["--config", str(config_path), "--variant", "no_adaptive"]):
+            for name in outputs:
+                (out / name).unlink()
+            for command in ("evaluate", "predict"):
+                assert main([command, *args]) == 0
+            for name in outputs:
+                assert (out / name).read_bytes() == trained[name], (args, name)
+
+
+def test_every_output_is_written_atomically(tmp_path, monkeypatch):
+    """No command writes a file in place: every output goes through persist."""
+    config_path, _ = write_config(tmp_path)
+
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"{path} written in place")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    run_pipeline(config_path, ("ingest", "build-graph", "train", "evaluate", "predict", "ablate"))
+    names = {p.name for p in (tmp_path / "run").iterdir()}
+    assert {"stations.csv", "history.csv", "metrics.csv", "metrics.txt", "forecast.csv",
+            "ablation.csv", "config.json"} <= names
+
+
+class TestMixedIngest:
+    """demand.dmd1, demand.meta and stations.csv must come from one ingest."""
+
+    def four_docks_with_three_stations(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        fewer_path, _ = write_config(tmp_path, name="fewer.json", keep_stations=3,
+                                     out_dir=str(tmp_path / "fewer"))
+        run_pipeline(config_path, ("ingest",))
+        run_pipeline(fewer_path, ("ingest",))
+        shutil.copy(tmp_path / "fewer" / "stations.csv", tmp_path / "run" / "stations.csv")
+        return config_path
+
+    @pytest.mark.parametrize("variant", ["full", "distance_init"])
+    def test_foreign_stations_csv_exits_1(self, tmp_path, capsys, variant):
+        config_path = self.four_docks_with_three_stations(tmp_path)
+        for command in ("build-graph", "train", "ablate"):
+            assert main([command, "--config", str(config_path), "--variant", variant]) == 1
+            assert "rerun ingest" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "graph.ckpt").exists()
+
+    def test_blob_of_another_ingest_exits_1(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        run_pipeline(config_path, ("ingest",))
+        blob = tmp_path / "run" / "demand.dmd1"
+        write_demand_blob(blob, read_demand_blob(blob)[:-14])
+        assert main(["build-graph", "--config", str(config_path)]) == 1
+        assert "rerun ingest" in capsys.readouterr().err
 
 
 class TestCliErrors:
@@ -558,6 +689,11 @@ class TestCliErrors:
         config_path, raw = write_config(tmp_path, pickup_station_col="nonexistent")
         assert main(["ingest", "--config", str(config_path)]) == 2
         assert "nonexistent" in capsys.readouterr().err
+
+    def test_nan_learning_rate_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path, learning_rate=math.nan)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
 
     def test_zero_epochs_exits_2(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, epochs=0)

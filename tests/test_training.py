@@ -306,7 +306,7 @@ class TestEvaluation:
     def test_perfect_predictions_score_zero(self):
         rng = np.random.default_rng(23)
         y = rng.standard_normal((5, 4, 3, 2))
-        report = report_from_predictions(y.copy(), y)
+        report = report_from_predictions(y.copy(), y, bin_hours=0.5)
         assert report.rmse == 0.0
         assert report.mae == 0.0
         assert report.pcc == pytest.approx(1.0)
@@ -316,7 +316,7 @@ class TestEvaluation:
         rng = np.random.default_rng(24)
         preds = rng.standard_normal((6, 4, 3, 2))
         truth = rng.standard_normal((6, 4, 3, 2))
-        report = report_from_predictions(preds, truth)
+        report = report_from_predictions(preds, truth, bin_hours=0.5)
         assert np.mean([h.mae for h in report.per_horizon]) == pytest.approx(
             report.mae, abs=1e-12
         )
@@ -324,7 +324,7 @@ class TestEvaluation:
     def test_horizon_labels_at_half_hour_bins(self):
         rng = np.random.default_rng(25)
         y = rng.standard_normal((3, 12, 2, 2))
-        report = report_from_predictions(y + 0.1, y)
+        report = report_from_predictions(y + 0.1, y, bin_hours=0.5)
         hours = {h.step: h.hours for h in report.per_horizon}
         assert hours[1] == 0.5
         assert hours[5] == 2.5
@@ -336,8 +336,8 @@ class TestEvaluation:
         truth = rng.standard_normal((4, 3, 2, 2))
         preds = truth + 0.5
         scaler = _AffineScaler(mean=[10.0, 20.0], std=[4.0, 4.0])
-        std_report = report_from_predictions(preds, truth)
-        orig_report = report_from_predictions(preds, truth, scaler=scaler)
+        std_report = report_from_predictions(preds, truth, bin_hours=0.5)
+        orig_report = report_from_predictions(preds, truth, scaler=scaler, bin_hours=0.5)
         assert std_report.scale == "standardized"
         assert orig_report.scale == "original"
         assert orig_report.rmse == pytest.approx(4.0 * std_report.rmse)
@@ -345,7 +345,7 @@ class TestEvaluation:
     def test_evaluate_runs_model_free_running(self):
         model = tiny_model(seed=30)
         data = tiny_data(t=60)
-        report = evaluate(model, data.val_x, data.val_y, scaler=_IdentityScaler())
+        report = evaluate(model, data.val_x, data.val_y, scaler=_IdentityScaler(), bin_hours=0.5)
         assert report.rmse >= report.mae >= 0.0
         assert -1.0 <= report.pcc <= 1.0
         assert len(report.per_horizon) == data.val_y.shape[1]
@@ -353,7 +353,7 @@ class TestEvaluation:
     def test_summary_and_csv_render(self):
         rng = np.random.default_rng(27)
         y = rng.standard_normal((3, 2, 2, 2))
-        report = report_from_predictions(y + 0.3, y)
+        report = report_from_predictions(y + 0.3, y, bin_hours=0.5)
         assert "overall" in report.summary()
         csv = report.to_csv()
         assert csv.startswith("horizon,hours,rmse,mae,pcc\n")
@@ -388,7 +388,7 @@ class TestHaBaseline:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((4, 5, 3, 2))
         y = rng.standard_normal((4, 2, 3, 2))
-        report = evaluate_ha(x, y)
+        report = evaluate_ha(x, y, bin_hours=0.5)
         manual = rmse(ha_baseline(x, 2), y)
         assert report.rmse == pytest.approx(manual)
 
@@ -398,12 +398,13 @@ class TestVariants:
         self.dataset = ring_demand(n_stations=8, t_bins=200, seed=13)
 
     def build(self, tag):
-        rng = np.random.default_rng(21)
         data = self.dataset
         base, _, _ = variant_graph(
-            tag, data.values, data.lons, data.lats, xi=4, rank=3, epsilon=None, rng=rng
+            tag, data.values, data.lons, data.lats, xi=4, rank=3, epsilon=None,
+            rng=np.random.default_rng(21),
         )
-        return build_model(tag, base, channels=2, beta=4, m_layers=2, k_hops=1, rng=rng)
+        config = RunConfig(variant=tag, xi=4, rank=3, beta=4, m_layers=2, k_hops=1, seed=21)
+        return build_model(config, base.e1.data, base.e2.data, channels=2)
 
     def test_all_variants_construct(self):
         for tag in ("full", "no_adaptive", "no_coupling", "random_init", "distance_init", "pcc_init"):
